@@ -205,13 +205,14 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"state matrices: {exc}") from exc
 
     T = _get_number(data, "T", "config", required=True)
-    if T <= 0.0:
-        raise ConfigError("T: must be positive")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ConfigError("T: must be positive and finite")
     n_raw = data.get("N")
     if not isinstance(n_raw, int) or isinstance(n_raw, bool) or n_raw < 1:
         raise ConfigError("N: expected a positive integer")
     k_raw = data.get("K", n_raw)
-    if not isinstance(k_raw, int) or isinstance(k_raw, bool) or k_raw % n_raw:
+    if (not isinstance(k_raw, int) or isinstance(k_raw, bool) or k_raw < 1
+            or k_raw % n_raw):
         raise ConfigError("K: expected a positive multiple of N")
 
     objective = _parse_objective(data.get("objective", {}), "objective",
@@ -225,18 +226,22 @@ def parse_config(data: dict) -> ExperimentConfig:
                                 "initial_controls.n1")
     fn2, s2 = _control_function(controls_data.get("n2", 0.0),
                                 "initial_controls.n2")
-    if "left_endpoint" in (su, s1, s2):
-        # Left-endpoint sampling reproduces the reference experiments'
-        # iteration counts; midpoint is the library default.
-        lefts = np.arange(n_raw) * (T / n_raw)
-        initial = ControlGrid(
-            T, n_raw,
-            np.array([fu(t) for t in lefts]),
-            np.array([fn1(t) for t in lefts]),
-            np.array([fn2(t) for t in lefts]),
-        )
-    else:
-        initial = init_from_functions(T, n_raw, fu, fn1, fn2)
+    try:
+        if "left_endpoint" in (su, s1, s2):
+            # Left-endpoint sampling reproduces the reference experiments'
+            # iteration counts; midpoint is the library default.
+            lefts = np.arange(n_raw) * (T / n_raw)
+            initial = ControlGrid(
+                T, n_raw,
+                np.array([fu(t) for t in lefts]),
+                np.array([fn1(t) for t in lefts]),
+                np.array([fn2(t) for t in lefts]),
+            )
+        else:
+            initial = init_from_functions(T, n_raw, fu, fn1, fn2)
+    except (ValueError, OverflowError) as exc:
+        # non-finite samples, or a function evaluated outside its domain
+        raise ConfigError(f"initial_controls: {exc}") from exc
 
     outputs = data.get("outputs")
     if outputs is not None and not isinstance(outputs, str):

@@ -13,10 +13,13 @@ Two integration modes are provided:
 
 The gradient/optimizer paths use the same Dormand-Prince tableau with a
 fixed number of substeps per interval (chosen from a generator-norm
-heuristic).  For a constant generator one substep is a fixed polynomial in
-h*G, so the step matrix is built once per interval and reused; the fixed
-sub-grid also supplies matched quadrature nodes for the forward and adjoint
-passes.
+heuristic).  For a constant generator one substep is the degree-6
+polynomial R(hG), so all step maps are built at once as an (N, 16, 16)
+array.  Interval propagators R^subs[k] come from batched binary powering,
+a serial chain over the N breakpoints applies them, and batched substeps
+fill every interval's sub-nodes, stored as one (N, max(subs) + 1, 16)
+array (``SubnodeStates.states``) that also supplies matched quadrature
+nodes for the forward and adjoint passes.
 """
 
 from __future__ import annotations
@@ -179,37 +182,36 @@ def _propagate(m, grid, start, K, method, rtol, atol, adjoint):
 # Fixed-substep propagation with stored sub-nodes (gradient/optimizer path)
 # ---------------------------------------------------------------------------
 
-def dp54_step_matrix(g: np.ndarray, h) -> np.ndarray:
-    """One 5th-order Dormand-Prince step for x' = g x as a linear map.
-
-    Accepts a single generator or a stacked batch (..., n, n); ``h`` may be
-    scalar or one step size per batch entry.
-    """
-    eye = np.eye(g.shape[-1])
-    if g.ndim == 3:
-        h = np.asarray(h, dtype=float).reshape(-1, 1, 1)
-    k1 = g
-    k2 = g @ (eye + h * (_A21 * k1))
-    k3 = g @ (eye + h * (_A31 * k1 + _A32 * k2))
-    k4 = g @ (eye + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-    k5 = g @ (eye + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-    k6 = g @ (eye + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
-                         + _A65 * k5))
-    return eye + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+def _add_identity(mats: np.ndarray) -> np.ndarray:
+    """Add the identity to every matrix of a C-contiguous (n, d, d) stack."""
+    d = mats.shape[-1]
+    mats.reshape(len(mats), d * d)[:, ::d + 1] += 1.0
+    return mats
 
 
 def interval_step_matrices(m: SystemMatrices, grid: ControlGrid,
                            subs: np.ndarray) -> np.ndarray:
     """Per-interval substep maps, batched; shape (N, 16, 16).
 
+    On a constant-generator interval one Dormand-Prince 5(4) step (the
+    5th-order solution) is exactly the polynomial
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 + z^5/120 + z^6/600 in z = h G,
+    evaluated here in Horner form with five batched products.
+
     The adjoint pass reuses these transposed: a Runge-Kutta step for the
     transposed generator is the transpose of the step for the original one.
     """
-    gens = (m.A[None, :, :]
-            + grid.u[:, None, None] * m.B_u[None, :, :]
-            + grid.n1[:, None, None] * m.B_n1[None, :, :]
-            + grid.n2[:, None, None] * m.B_n2[None, :, :])
-    return dp54_step_matrix(gens, grid.dt / np.asarray(subs, dtype=float))
+    h = grid.dt / np.asarray(subs, dtype=float)
+    coeffs = np.stack([h, h * grid.u, h * grid.n1, h * grid.n2], axis=1)
+    basis = np.stack([m.A, m.B_u, m.B_n1, m.B_n2]).reshape(4, -1)
+    z = (coeffs @ basis).reshape(grid.N, 16, 16)
+    acc = _add_identity(z / 5.0)
+    tmp = np.empty_like(z)
+    for c in (5.0, 4.0, 3.0, 2.0):
+        np.matmul(z, acc, out=tmp)
+        tmp /= c
+        acc, tmp = _add_identity(tmp), acc
+    return _add_identity(np.matmul(z, acc, out=tmp))
 
 
 def substep_counts(m: SystemMatrices, grid: ControlGrid) -> np.ndarray:
@@ -223,68 +225,115 @@ def substep_counts(m: SystemMatrices, grid: ControlGrid) -> np.ndarray:
     return counts
 
 
+def _interval_propagators(step_mats: np.ndarray, subs: np.ndarray) -> np.ndarray:
+    """P_k = S_k^subs[k] by batched binary powering; shape (N, 16, 16).
+
+    Every interval squares its base on each bit; only intervals whose
+    current bit is set multiply it into their product.
+    """
+    bits = np.array(subs, dtype=np.int64)
+    base = step_mats
+    prop = None
+    while True:
+        odd = (bits & 1).astype(bool)
+        if prop is None:
+            if odd.any():
+                prop = np.where(odd[:, None, None], base, np.eye(16))
+        elif odd.all():
+            prop = prop @ base
+        elif odd.any():
+            prop[odd] = prop[odd] @ base[odd]
+        bits >>= 1
+        if not bits.any():
+            return prop
+        base = base @ base
+
+
+def _forward_chain(props: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Breakpoint states x_{k+1} = P_k x_k; shape (N+1, 16)."""
+    out = np.empty((len(props) + 1, 16))
+    out[0] = x0
+    for k, prop in enumerate(props):
+        out[k + 1] = prop @ out[k]
+    return out
+
+
+def _adjoint_chain(props: np.ndarray, p_terminal: np.ndarray) -> np.ndarray:
+    """Breakpoint adjoints q_k = P_k^T q_{k+1}, t-ascending; shape (N+1, 16)."""
+    n = len(props)
+    out = np.empty((n + 1, 16))
+    out[n] = p_terminal
+    for k in range(n - 1, -1, -1):
+        out[k] = out[k + 1] @ props[k]
+    return out
+
+
 @dataclass(frozen=True)
 class SubnodeStates:
     """Per-interval states on the fixed sub-grid, endpoints included.
 
-    ``blocks[k]`` has shape (subs[k] + 1, 16); its first row sits on the
-    breakpoint t_k and its last row on t_{k+1} (so consecutive blocks share
-    a row).
+    ``states`` has shape (N, max(subs) + 1, 16).  Row ``[k, i]`` is sub-node
+    i of interval k: row 0 sits on the breakpoint t_k and row subs[k] on
+    t_{k+1}.  Rows past subs[k] repeat the interval's end state, so
+    ``states[k, -1]`` is the same vector as ``states[k + 1, 0]``.
     """
 
     grid: ControlGrid
     subs: np.ndarray
-    blocks: list
+    states: np.ndarray
 
     @property
     def end_state(self) -> np.ndarray:
-        return self.blocks[-1][-1]
+        return self.states[-1, -1]
 
     def at_breakpoints(self) -> Trajectory:
-        states = np.empty((self.grid.N + 1, 16))
-        for k, block in enumerate(self.blocks):
-            states[k] = block[0]
-        states[self.grid.N] = self.blocks[-1][-1]
+        states = np.concatenate([self.states[:, 0], self.states[-1:, -1]])
         return Trajectory(self.grid.breakpoints(), states)
 
 
 def forward_subnodes(m: SystemMatrices, grid: ControlGrid, x0: np.ndarray,
                      subs: np.ndarray,
                      step_mats: np.ndarray | None = None) -> SubnodeStates:
+    """Forward pass on the fixed sub-grid.
+
+    Breakpoint states come from the propagator chain; the interior
+    sub-nodes of all intervals are then filled by batched substeps.
+    """
+    subs = np.asarray(subs)
     if step_mats is None:
         step_mats = interval_step_matrices(m, grid, subs)
-    x = np.asarray(x0, dtype=float)
-    blocks = []
-    for k in range(grid.N):
-        nsub = int(subs[k])
-        step = step_mats[k]
-        block = np.empty((nsub + 1, 16))
-        block[0] = x
-        for i in range(nsub):
-            x = step @ x
-            block[i + 1] = x
-        blocks.append(block)
-    return SubnodeStates(grid, np.asarray(subs), blocks)
+    ends = _forward_chain(_interval_propagators(step_mats, subs),
+                          np.asarray(x0, dtype=float))
+    smax = int(subs.max())
+    states = np.empty((grid.N, smax + 1, 16))
+    states[:, 0] = ends[:-1]
+    for i in range(1, smax):
+        states[:, i] = np.einsum("kij,kj->ki", step_mats, states[:, i - 1])
+    past = np.arange(smax + 1) >= subs[:, None]
+    np.copyto(states, ends[1:, None, :], where=past[:, :, None])
+    return SubnodeStates(grid, subs, states)
 
 
 def adjoint_subnodes(m: SystemMatrices, grid: ControlGrid, p_terminal: np.ndarray,
                      subs: np.ndarray,
                      step_mats: np.ndarray | None = None) -> SubnodeStates:
-    """Backward pass on the same sub-grid; blocks are stored t-ascending."""
+    """Backward pass on the same sub-grid; states are stored t-ascending."""
+    subs = np.asarray(subs)
     if step_mats is None:
         step_mats = interval_step_matrices(m, grid, subs)
-    q = np.asarray(p_terminal, dtype=float)
-    blocks: list = [None] * grid.N
-    for k in range(grid.N - 1, -1, -1):
-        nsub = int(subs[k])
-        step = step_mats[k].T
-        block = np.empty((nsub + 1, 16))
-        block[nsub] = q
-        for i in range(nsub):
-            q = step @ q
-            block[nsub - 1 - i] = q
-        blocks[k] = block
-    return SubnodeStates(grid, np.asarray(subs), blocks)
+    ends = _adjoint_chain(_interval_propagators(step_mats, subs),
+                          np.asarray(p_terminal, dtype=float))
+    smax = int(subs.max())
+    # back[k, j] is the adjoint j substeps before t_{k+1}; sub-node i of
+    # interval k is back[k, subs[k] - i], except row 0, which is the chain's.
+    back = np.empty((grid.N, smax, 16))
+    back[:, 0] = ends[1:]
+    for j in range(1, smax):
+        back[:, j] = np.einsum("kji,kj->ki", step_mats, back[:, j - 1])
+    lag = np.clip(subs[:, None] - np.arange(smax + 1), 0, smax - 1)
+    states = np.take_along_axis(back, lag[:, :, None], axis=1)
+    states[:, 0] = ends[:-1]
+    return SubnodeStates(grid, subs, states)
 
 
 def forward_endpoint(m: SystemMatrices, grid: ControlGrid, x0: np.ndarray,
@@ -293,12 +342,8 @@ def forward_endpoint(m: SystemMatrices, grid: ControlGrid, x0: np.ndarray,
     """Final state only, on the same fixed sub-grid discretization."""
     if step_mats is None:
         step_mats = interval_step_matrices(m, grid, subs)
-    x = np.asarray(x0, dtype=float)
-    for k in range(grid.N):
-        step = step_mats[k]
-        for _ in range(int(subs[k])):
-            x = step @ x
-    return x
+    props = _interval_propagators(step_mats, subs)
+    return _forward_chain(props, np.asarray(x0, dtype=float))[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,8 @@ def run(m: SystemMatrices, spec: ObjectiveSpec, x0: np.ndarray,
     fwd = forward_subnodes(m, control, x0, subs, steps)
     value = evaluate(fwd.end_state, spec)
     j_value = overlap(fwd.end_state, spec)
+    if not np.isfinite(value):
+        raise DivergedError("objective is not finite at the initial control")
     cauchy = 1
     iterates = [IterationRecord(0, value, j_value, cauchy)]
     non_monotone: list = []

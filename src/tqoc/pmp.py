@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,31 +50,37 @@ def switching(m: SystemMatrices, x_traj: Trajectory,
     )
 
 
-@lru_cache(maxsize=None)
-def _simpson_weights(nsub: int) -> np.ndarray:
-    # Composite Simpson weights on nsub (even) equal sub-intervals, summing
-    # to nsub so that weights @ values / nsub is the interval mean.
-    w = np.ones(nsub + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
+def _simpson_table(subs: np.ndarray) -> np.ndarray:
+    """Composite Simpson weights per interval; shape (N, max(subs) + 1).
+
+    Row k is divided by subs[k] (even) so that a weighted row sum is the
+    interval mean, and is zero past column subs[k].
+    """
+    subs = np.asarray(subs)
+    i = np.arange(int(subs.max()) + 1)
+    w = np.where(i % 2 == 1, 4.0, 2.0) * np.ones((subs.size, 1))
+    w[:, 0] = 1.0
+    w[i == subs[:, None]] = 1.0
+    w[i > subs[:, None]] = 0.0
+    return w / (3.0 * subs[:, None])
 
 
 def switching_interval_means(m: SystemMatrices, fwd: SubnodeStates,
                              adj: SubnodeStates) -> np.ndarray:
-    """Interval averages of (K_u, K_n1, K_n2); shape (3, N)."""
-    n = fwd.grid.N
-    out = np.empty((3, n))
-    mats = (m.B_u.T, m.B_n1.T, m.B_n2.T)
-    for k in range(n):
-        xa = fwd.blocks[k]
-        pa = adj.blocks[k]
-        nsub = int(fwd.subs[k])
-        w = _simpson_weights(nsub)
-        for row, bt in enumerate(mats):
-            vals = np.einsum("ij,ij->i", pa, xa @ bt)
-            out[row, k] = float(w @ vals) / nsub
-    return out
+    """Interval averages of (K_u, K_n1, K_n2); shape (3, N).
+
+    The Simpson mean of <p, B x> over interval k is the Frobenius product of
+    B with M_k = sum_i W[k, i] p_{k,i} x_{k,i}^T, so one batched product
+    forms every M_k and one (N, 256) x (256, 3) contraction takes all three
+    channels at once.  That contraction is an einsum, not a BLAS product:
+    fused multiply-adds would leave a rounding residue where terms cancel
+    exactly, and a stationary zero control would no longer be a fixed point
+    of the projected update.
+    """
+    weighted = adj.states * _simpson_table(fwd.subs)[:, :, None]
+    outer = np.matmul(weighted.transpose(0, 2, 1), fwd.states)
+    basis = np.stack([m.B_u, m.B_n1, m.B_n2]).reshape(3, -1)
+    return np.einsum("cx,kx->ck", basis, outer.reshape(len(outer), -1))
 
 
 @dataclass(frozen=True)

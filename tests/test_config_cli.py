@@ -230,3 +230,34 @@ def test_verify_command(tmp_path):
     assert report["zero_control_adjoint"]["max_deviation"] < 1e-8
     assert report["gradient_fd"]["max_relative_error"] < 1e-4
     assert report["pmp"]["applicable"] is True
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("overrides", [
+    {"K": 0},
+    {"K": -10},
+    {"T": math.inf},
+    {"initial_controls": {"u": {"function": "const", "value": math.inf},
+                          "n1": 1.0, "n2": 1.0}},
+    {"initial_controls": {"u": {"function": "sin", "frequency": 1e308},
+                          "n1": 1.0, "n2": 1.0}},
+], ids=["K_zero", "K_negative", "T_infinite", "control_infinite",
+        "control_argument_overflow"])
+def test_invalid_config_exits_1_without_outputs(tmp_path, overrides):
+    with pytest.raises(ConfigError):
+        parse_config(tiny_config(**overrides))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(tiny_config(**overrides)))
+    out = tmp_path / "out"
+    assert main(["--quiet", "run", str(config_path), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_horizon_exits_2_without_outputs(tmp_path):
+    # the controls are finite, but the fixed-substep maps overflow
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(tiny_config(T=1e308)))
+    out = tmp_path / "out"
+    assert main(["--quiet", "run", str(config_path), "--out", str(out)]) == 2
+    assert not out.exists()

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from tqoc import dynamics
 from tqoc.controls import ControlGrid, constant_grid
-from tqoc.dynamics import (forward_subnodes, min_state_eigenvalue,
-                           pairing_drift, propagate_adjoint,
-                           propagate_forward, substep_counts, trace_drift,
-                           zero_control_adjoint, zero_control_state)
+from tqoc.dynamics import (adjoint_subnodes, forward_endpoint,
+                           forward_subnodes, interval_step_matrices,
+                           min_state_eigenvalue, pairing_drift,
+                           propagate_adjoint, propagate_forward,
+                           substep_counts, trace_drift, zero_control_adjoint,
+                           zero_control_state)
 from tqoc.errors import BadTraceError, GridMismatchError
 from tqoc.model import embed_diagonal
+from tqoc.pmp import switching_interval_means
 
 
 def test_singular_point_is_constant(matrices):
@@ -162,3 +166,138 @@ def test_fixed_substep_path_agrees_with_adaptive(matrices):
     fwd = forward_subnodes(matrices, grid, x0, subs)
     ref = propagate_forward(matrices, grid, x0)
     assert np.max(np.abs(fwd.at_breakpoints().states - ref.states)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Fixed-substep kernel against stage-form and per-substep references
+# ---------------------------------------------------------------------------
+
+def dp54_step_matrix(g, h):
+    """One Dormand-Prince 5(4) step for x' = g x in stage form, as a matrix.
+
+    Takes one generator or a stack (n, d, d) with one step size per entry.
+    """
+    d = dynamics
+    eye = np.eye(g.shape[-1])
+    if g.ndim == 3:
+        h = np.asarray(h, dtype=float).reshape(-1, 1, 1)
+    k1 = g
+    k2 = g @ (eye + h * (d._A21 * k1))
+    k3 = g @ (eye + h * (d._A31 * k1 + d._A32 * k2))
+    k4 = g @ (eye + h * (d._A41 * k1 + d._A42 * k2 + d._A43 * k3))
+    k5 = g @ (eye + h * (d._A51 * k1 + d._A52 * k2 + d._A53 * k3
+                         + d._A54 * k4))
+    k6 = g @ (eye + h * (d._A61 * k1 + d._A62 * k2 + d._A63 * k3
+                         + d._A64 * k4 + d._A65 * k5))
+    return eye + h * (d._B1 * k1 + d._B3 * k3 + d._B4 * k4 + d._B5 * k5
+                      + d._B6 * k6)
+
+
+def reference_forward_blocks(step_mats, subs, x0):
+    x = np.asarray(x0, dtype=float)
+    blocks = []
+    for step, nsub in zip(step_mats, subs):
+        block = [x]
+        for _ in range(int(nsub)):
+            x = step @ x
+            block.append(x)
+        blocks.append(np.array(block))
+    return blocks
+
+
+def reference_adjoint_blocks(step_mats, subs, p_terminal):
+    q = np.asarray(p_terminal, dtype=float)
+    blocks = [None] * len(subs)
+    for k in range(len(subs) - 1, -1, -1):
+        block = [q]
+        for _ in range(int(subs[k])):
+            q = step_mats[k].T @ q
+            block.append(q)
+        blocks[k] = np.array(block[::-1])
+    return blocks
+
+
+def reference_switching_means(m, fwd_blocks, adj_blocks, subs):
+    out = np.empty((3, len(subs)))
+    for k, nsub in enumerate(subs):
+        w = np.ones(nsub + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        for row, b in enumerate((m.B_u, m.B_n1, m.B_n2)):
+            vals = np.einsum("ij,ij->i", adj_blocks[k], fwd_blocks[k] @ b.T)
+            out[row, k] = float(w @ vals) / (3.0 * nsub)
+    return out
+
+
+def _ragged_case(rng, n):
+    grid = ControlGrid(0.3 * n, n, rng.uniform(-2, 2, n),
+                       rng.uniform(0, 2, n), rng.uniform(0, 2, n))
+    subs = 2 * rng.integers(1, 33, n)
+    subs[-1], subs[0] = 2, 64
+    return grid, subs
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("n", [23, 1])
+def test_subnode_kernel_matches_per_substep_loops(matrices, n):
+    rng = np.random.default_rng(5 + n)
+    grid, subs = _ragged_case(rng, n)
+    x0 = embed_diagonal((0.4, 0.3, 0.2, 0.1))
+    p_terminal = rng.normal(size=16)
+    steps = interval_step_matrices(matrices, grid, subs)
+    fwd = forward_subnodes(matrices, grid, x0, subs, steps)
+    adj = adjoint_subnodes(matrices, grid, p_terminal, subs, steps)
+    ref_fwd = reference_forward_blocks(steps, subs, x0)
+    ref_adj = reference_adjoint_blocks(steps, subs, p_terminal)
+    smax = int(subs.max())
+    assert fwd.states.shape == adj.states.shape == (n, smax + 1, 16)
+    for k, nsub in enumerate(subs):
+        for got, ref in ((fwd, ref_fwd[k]), (adj, ref_adj[k])):
+            assert _rel(got.states[k, :nsub + 1], ref) <= 1e-12
+            # padded rows repeat the interval's end state exactly
+            assert np.array_equal(
+                got.states[k, nsub:],
+                np.broadcast_to(got.states[k, nsub], (smax + 1 - nsub, 16)))
+    assert _rel(fwd.end_state, ref_fwd[-1][-1]) <= 1e-12
+    assert _rel(forward_endpoint(matrices, grid, x0, subs),
+                ref_fwd[-1][-1]) <= 1e-12
+    assert _rel(forward_endpoint(matrices, grid, x0, subs, steps),
+                ref_fwd[-1][-1]) <= 1e-12
+    ref_bp = np.array([b[0] for b in ref_fwd] + [ref_fwd[-1][-1]])
+    assert _rel(fwd.at_breakpoints().states, ref_bp) <= 1e-12
+    ref_bp = np.array([b[0] for b in ref_adj] + [ref_adj[-1][-1]])
+    assert _rel(adj.at_breakpoints().states, ref_bp) <= 1e-12
+    assert _rel(switching_interval_means(matrices, fwd, adj),
+                reference_switching_means(matrices, ref_fwd, ref_adj,
+                                          subs)) <= 1e-12
+
+
+def test_horner_step_maps_match_stage_form(matrices):
+    rng = np.random.default_rng(11)
+    grid, subs = _ragged_case(rng, 40)
+    gens = np.array([matrices.generator(grid.u[k], grid.n1[k], grid.n2[k])
+                     for k in range(grid.N)])
+    h = grid.dt / subs
+    batched = interval_step_matrices(matrices, grid, subs)
+    assert np.max(np.abs(batched - dp54_step_matrix(gens, h))) <= 1e-15
+    single = ControlGrid(grid.dt, 1, grid.u[:1], grid.n1[:1], grid.n2[:1])
+    one = interval_step_matrices(matrices, single, subs[:1])[0]
+    assert np.max(np.abs(one - dp54_step_matrix(gens[0], h[0]))) <= 1e-15
+
+
+def test_step_map_local_error_is_sixth_order(matrices):
+    # R(z) - exp(z) = -z^6/3600 + O(z^7): halving h cuts the error ~64x
+    g = matrices.generator(0.7, 1.2, 0.4)
+    norm = float(np.linalg.norm(g, 2))
+    errors = []
+    for hg in (0.5, 0.25):
+        h = hg / norm
+        grid = ControlGrid(h, 1, [0.7], [1.2], [0.4])
+        step = interval_step_matrices(matrices, grid, np.array([1]))[0]
+        err = float(np.linalg.norm(step - scipy.linalg.expm(h * g), 2))
+        assert err <= hg ** 6 / 600
+        errors.append(err)
+    assert 32.0 < errors[0] / errors[1] < 128.0

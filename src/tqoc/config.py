@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controls import ConstraintSet, ControlGrid, init_from_functions
+from .controls import ConstraintSet, ControlGrid
 from .errors import ConfigError
 from .gpm import GPM1, GPM2, DecayingStep, FixedStep, GpmConfig
 from .model import SystemParams, realify
@@ -221,24 +221,19 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     controls_data = _expect_mapping(data.get("initial_controls", {}),
                                     "initial_controls")
-    fu, su = _control_function(controls_data.get("u", 0.0), "initial_controls.u")
-    fn1, s1 = _control_function(controls_data.get("n1", 0.0),
-                                "initial_controls.n1")
-    fn2, s2 = _control_function(controls_data.get("n2", 0.0),
-                                "initial_controls.n2")
+    channels = [_control_function(controls_data.get(name, 0.0),
+                                  f"initial_controls.{name}")
+                for name in ("u", "n1", "n2")]
     try:
-        if "left_endpoint" in (su, s1, s2):
-            # Left-endpoint sampling reproduces the reference experiments'
-            # iteration counts; midpoint is the library default.
-            lefts = np.arange(n_raw) * (T / n_raw)
-            initial = ControlGrid(
-                T, n_raw,
-                np.array([fu(t) for t in lefts]),
-                np.array([fn1(t) for t in lefts]),
-                np.array([fn2(t) for t in lefts]),
-            )
-        else:
-            initial = init_from_functions(T, n_raw, fu, fn1, fn2)
+        samples = []
+        for f, sampling in channels:
+            # Each channel is sampled at its own points.  Left endpoints
+            # reproduce the reference experiments' iteration counts; the
+            # library default is the midpoint, which constants also use.
+            offset = 0.0 if sampling == "left_endpoint" else 0.5
+            times = (np.arange(n_raw) + offset) * (T / n_raw)
+            samples.append(np.array([float(f(t)) for t in times]))
+        initial = ControlGrid(T, n_raw, *samples)
     except (ValueError, OverflowError) as exc:
         # non-finite samples, or a function evaluated outside its domain
         raise ConfigError(f"initial_controls: {exc}") from exc

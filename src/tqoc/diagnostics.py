@@ -1,9 +1,12 @@
 """Scalar state functionals for post-optimization analysis.
 
-All quantities are evaluated spectrally with an eigenvalue clamp of 1e-12:
-numerically propagated pure states carry O(1e-10) negative eigenvalues that
-must be treated as exact zeros.  Natural logarithms throughout.  Relative
-entropies return math.inf when the support condition fails.
+Each quantity is one array formula over a stack of density matrices, which
+is decomposed by a single LAPACK ``eigh``; the scalar functions apply it to
+a one-element stack, and :func:`compute_rows` to a trajectory in blocks of
+``NODE_BLOCK`` nodes.  Eigenvalues at or below ``EIG_CLAMP`` count as
+exact zeros: numerically propagated pure states carry O(1e-10) negative
+eigenvalues.  Natural logarithms throughout.  Relative entropies are
+math.inf when the support condition fails.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import NODE_BLOCK, Trajectory
 from .errors import BadAlphaError, NotDensityMatrixError
 from .model import OFFDIAG_SLOTS, derealify
 from .objectives import ObjectiveSpec, OVERLAP_WEIGHTS, overlap, smoothed_value
@@ -28,99 +31,112 @@ _PSD_TOL = 1e-8
 
 
 def _density_eigen(rho: np.ndarray):
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4) or hermiticity_defect(rho) > _HERM_TOL:
+    """Checked eigendecomposition of a (B, 4, 4) stack of density matrices."""
+    if rho.shape[-2:] != (4, 4) or np.any(hermiticity_defect(rho) > _HERM_TOL):
         raise NotDensityMatrixError("input is not a Hermitian 4x4 matrix")
-    if abs(float(np.trace(rho).real) - 1.0) > _TRACE_TOL:
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    if np.any(np.abs(trace - 1.0) > _TRACE_TOL):
         raise NotDensityMatrixError("input trace deviates from 1")
     eig = hermitian_eigen(rho)
-    if float(eig.eigenvalues[0]) < -_PSD_TOL:
+    low = float(eig.eigenvalues[:, 0].min())
+    if low < -_PSD_TOL:
         raise NotDensityMatrixError(
-            f"eigenvalue {eig.eigenvalues[0]:.3e} below the PSD tolerance")
+            f"eigenvalue {low:.3e} below the PSD tolerance")
     return eig
 
 
-def _entropy_from_eigs(w: np.ndarray) -> float:
-    w = w[w > EIG_CLAMP]
-    s = -float(np.sum(w * np.log(w)))
-    return max(s, 0.0) + 0.0  # normalize -0.0
+def _checked(rho: np.ndarray):
+    """One 4x4 density matrix as a one-element stack, and its eigensystem."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise NotDensityMatrixError("input is not a Hermitian 4x4 matrix")
+    return rho[None], _density_eigen(rho[None])
+
+
+def _xlogx(w: np.ndarray) -> np.ndarray:
+    """w log w for eigenvalues above the clamp, 0 for the rest."""
+    live = w > EIG_CLAMP
+    return np.where(live, w * np.log(np.where(live, w, 1.0)), 0.0)
+
+
+def _entropies(w: np.ndarray) -> np.ndarray:
+    return np.maximum(-np.sum(_xlogx(w), axis=-1), 0.0) + 0.0  # no -0.0
+
+
+def _purities(rho: np.ndarray) -> np.ndarray:
+    return np.einsum("...ij,...ij->...", rho.conj(), rho).real
+
+
+def _uj_fidelities(eig_rho, sigma: np.ndarray) -> np.ndarray:
+    w, u = eig_rho
+    sqrt_rho = (u * np.sqrt(np.maximum(w, 0.0))[..., None, :]) \
+        @ u.conj().swapaxes(-1, -2)
+    inner = hermitian_eigen(sqrt_rho @ sigma @ sqrt_rho).eigenvalues
+    return np.sum(np.sqrt(np.maximum(inner, 0.0)), axis=-1) ** 2
+
+
+def _eigvec_overlaps(eig_rho, eig_sigma) -> np.ndarray:
+    """overlaps[b, i, j] = |<u_i, v_j>|^2 between the two eigenbases."""
+    return np.abs(eig_rho.eigenvectors.conj().swapaxes(-1, -2)
+                  @ eig_sigma.eigenvectors) ** 2
+
+
+def _rel_entropies(w1, w2, overlaps) -> np.ndarray:
+    live = w1 > EIG_CLAMP
+    keep = w2 > EIG_CLAMP
+    # weight of rho on each eigenvector of sigma
+    mass = np.einsum("bi,bij->bj", np.where(live, w1, 0.0), overlaps)
+    lost = np.any(~keep & (mass > EIG_CLAMP), axis=-1)
+    log2 = np.where(keep, np.log(np.where(keep, w2, 1.0)), 0.0)
+    value = np.sum(_xlogx(w1), axis=-1) - np.sum(mass * log2, axis=-1)
+    return np.where(lost, math.inf, value)
+
+
+def _petz_renyis(w1, w2, overlaps, alpha: float) -> np.ndarray:
+    keep = w2 > EIG_CLAMP
+    mass = np.einsum("bi,bij->bj", np.where(w1 > EIG_CLAMP, w1, 0.0) ** alpha,
+                     overlaps)
+    pow2 = np.where(keep, np.where(keep, w2, 1.0) ** (1.0 - alpha), 0.0)
+    total = np.sum(mass * pow2, axis=-1)
+    lost = total <= 0.0
+    if alpha > 1.0:
+        lost |= np.any(~keep & (mass > EIG_CLAMP), axis=-1)
+    value = np.log(np.where(lost, 1.0, total)) / (alpha - 1.0)
+    return np.where(lost, math.inf, value)
 
 
 def entropy(rho: np.ndarray) -> float:
     """von Neumann entropy -Tr(rho log rho) in nats."""
-    return _entropy_from_eigs(_density_eigen(rho).eigenvalues)
+    return float(_entropies(_checked(rho)[1].eigenvalues)[0])
 
 
 def purity(rho: np.ndarray) -> float:
     """Tr rho^2 = sum of squared moduli of all entries."""
-    rho = np.asarray(rho, dtype=complex)
-    _density_eigen(rho)
-    return float(np.vdot(rho, rho).real)
-
-
-def _uj_from_eigen(eig_rho, sigma: np.ndarray) -> float:
-    w = np.maximum(eig_rho.eigenvalues, 0.0)
-    u = eig_rho.eigenvectors
-    sqrt_rho = (u * np.sqrt(w)) @ u.conj().T
-    inner = sqrt_rho @ sigma @ sqrt_rho
-    inner = 0.5 * (inner + inner.conj().T)
-    vals = np.maximum(hermitian_eigen(inner).eigenvalues, 0.0)
-    return float(np.sum(np.sqrt(vals)) ** 2)
+    return float(_purities(_checked(rho)[0])[0])
 
 
 def uj_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann-Jozsa fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    eig_rho = _density_eigen(rho)
-    _density_eigen(sigma)
-    return _uj_from_eigen(eig_rho, np.asarray(sigma, dtype=complex))
+    eig_rho = _checked(rho)[1]
+    return float(_uj_fidelities(eig_rho, _checked(sigma)[0])[0])
 
 
-def _rel_entropy_from_eigens(eig_rho, eig_sigma) -> float:
-    w1, u1 = eig_rho
-    w2, u2 = eig_sigma
-    overlaps = np.abs(u1.conj().T @ u2) ** 2  # overlaps[i, j] = |<u_i, v_j>|^2
-    live = w1 > EIG_CLAMP
-    dead = w2 <= EIG_CLAMP
-    for j in np.nonzero(dead)[0]:
-        if float(w1[live] @ overlaps[live, j]) > EIG_CLAMP:
-            return math.inf
-    term1 = float(np.sum(w1[live] * np.log(w1[live])))
-    keep = ~dead
-    term2 = float(w1[live] @ overlaps[np.ix_(live, keep)] @ np.log(w2[keep]))
-    return term1 - term2
+def _eigen_pair(rho, sigma):
+    eig_rho, eig_sigma = _checked(rho)[1], _checked(sigma)[1]
+    return (eig_rho.eigenvalues, eig_sigma.eigenvalues,
+            _eigvec_overlaps(eig_rho, eig_sigma))
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Quantum relative entropy Tr(rho (log rho - log sigma)) or +inf."""
-    return _rel_entropy_from_eigens(_density_eigen(rho), _density_eigen(sigma))
-
-
-def _petz_from_eigens(eig_rho, eig_sigma, alpha: float) -> float:
-    w1, u1 = eig_rho
-    w2, u2 = eig_sigma
-    overlaps = np.abs(u1.conj().T @ u2) ** 2
-    w1 = np.maximum(w1, 0.0)
-    pow1 = np.where(w1 > EIG_CLAMP, w1, 0.0) ** alpha
-    if alpha > 1.0:
-        dead = w2 <= EIG_CLAMP
-        for j in np.nonzero(dead)[0]:
-            if float(pow1 @ overlaps[:, j]) > EIG_CLAMP:
-                return math.inf
-        keep = ~dead
-    else:
-        keep = w2 > EIG_CLAMP
-    pow2 = np.maximum(w2[keep], 0.0) ** (1.0 - alpha)
-    total = float(pow1 @ overlaps[:, keep] @ pow2)
-    if total <= 0.0:
-        return math.inf
-    return math.log(total) / (alpha - 1.0)
+    return float(_rel_entropies(*_eigen_pair(rho, sigma))[0])
 
 
 def petz_renyi(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     """Petz-Renyi relative entropy of order alpha in (0,1) or (1,inf)."""
     if not (alpha > 0.0 and alpha != 1.0 and math.isfinite(alpha)):
         raise BadAlphaError(f"order must be in (0,1) or (1,inf), got {alpha}")
-    return _petz_from_eigens(_density_eigen(rho), _density_eigen(sigma), alpha)
+    return float(_petz_renyis(*_eigen_pair(rho, sigma), alpha)[0])
 
 
 def aleph(traj: Trajectory) -> float:
@@ -131,8 +147,13 @@ def aleph(traj: Trajectory) -> float:
 
 def distance_squared(x: np.ndarray, target: np.ndarray) -> float:
     """Squared Hilbert-Schmidt distance of two realified states."""
-    d = np.asarray(x, dtype=float) - np.asarray(target, dtype=float)
-    return float(d @ (OVERLAP_WEIGHTS * d))
+    return float(_distances_sq(np.asarray(x, dtype=float),
+                               np.asarray(target, dtype=float)))
+
+
+def _distances_sq(states: np.ndarray, target: np.ndarray) -> np.ndarray:
+    d = states - target
+    return np.sum(d * (OVERLAP_WEIGHTS * d), axis=-1)
 
 
 def smoothed_overlap_dev(x: np.ndarray, spec: ObjectiveSpec) -> float:
@@ -155,28 +176,45 @@ class DiagnosticsRow:
     smoothed_overlap_dev: float
 
 
+def _block_columns(states, spec, sigma, eig_sigma, alphas) -> np.ndarray:
+    """Columns overlap, entropy, purity, fidelity, relative entropy,
+    distance and the Petz-Renyi orders, one row per node of the block."""
+    rho = derealify(states)
+    eig_rho = _density_eigen(rho)
+    w1, w2 = eig_rho.eigenvalues, eig_sigma.eigenvalues
+    overlaps = _eigvec_overlaps(eig_rho, eig_sigma)
+    return np.column_stack([
+        states @ spec.weighted_target,  # objectives.overlap, node by node
+        _entropies(w1),
+        _purities(rho),
+        _uj_fidelities(eig_rho, sigma),
+        _rel_entropies(w1, w2, overlaps),
+        _distances_sq(states, spec.target),
+        *(_petz_renyis(w1, w2, overlaps, a) for a in alphas),
+    ])
+
+
 def compute_rows(traj: Trajectory, spec: ObjectiveSpec,
                  alphas=DEFAULT_RENYI_ORDERS) -> list:
-    """Diagnostics at every trajectory node against the objective's target."""
-    sigma = derealify(spec.target)
-    eig_sigma = _density_eigen(sigma)
-    rows = []
+    """Diagnostics at every trajectory node against the objective's target.
+
+    Nodes go through in blocks of ``NODE_BLOCK``; a block costs one
+    eigendecomposition of its states and one of its fidelity matrices.
+    """
+    sigma, eig_sigma = _checked(derealify(spec.target))
     steer = spec.setpoint is not None
-    for t, x in zip(traj.times, traj.states):
-        rho = derealify(x)
-        eig_rho = _density_eigen(rho)
-        rows.append(DiagnosticsRow(
-            t=float(t),
-            overlap=overlap(x, spec),
-            entropy=_entropy_from_eigs(eig_rho.eigenvalues),
-            purity=float(np.vdot(rho, rho).real),
-            uj_fidelity=_uj_from_eigen(eig_rho, sigma),
-            rel_entropy=_rel_entropy_from_eigens(eig_rho, eig_sigma),
-            petz_renyi=tuple(_petz_from_eigens(eig_rho, eig_sigma, a)
-                             for a in alphas),
-            distance_sq=distance_squared(x, spec.target),
-            smoothed_overlap_dev=(
-                smoothed_value(overlap(x, spec), spec.setpoint, spec.smoothing)
-                if steer else math.nan),
-        ))
+    rows = []
+    for i in range(0, len(traj.states), NODE_BLOCK):
+        block = slice(i, i + NODE_BLOCK)
+        columns = _block_columns(traj.states[block], spec, sigma, eig_sigma,
+                                 alphas)
+        for t, (f, s, p, fid, rel, dist, *petz) in zip(
+                traj.times[block].tolist(), columns.tolist()):
+            rows.append(DiagnosticsRow(
+                t=t, overlap=f, entropy=s, purity=p, uj_fidelity=fid,
+                rel_entropy=rel, petz_renyi=tuple(petz), distance_sq=dist,
+                smoothed_overlap_dev=(
+                    smoothed_value(f, spec.setpoint, spec.smoothing)
+                    if steer else math.nan),
+            ))
     return rows

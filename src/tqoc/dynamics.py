@@ -54,6 +54,10 @@ _SUBSTEP_SCALE = 0.04
 _SUBSTEP_MIN = 2
 _SUBSTEP_MAX = 64
 
+# Trajectory nodes per batch in the post-run spectral work (here and in
+# diagnostics.compute_rows): bounds the temporaries at no cost in speed.
+NODE_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -415,11 +419,10 @@ def trace_drift(traj: Trajectory) -> float:
 
 def min_state_eigenvalue(traj: Trajectory) -> float:
     """Smallest density-matrix eigenvalue encountered along the nodes."""
-    worst = math.inf
-    for x in traj.states:
-        w = hermitian_eigen(derealify(x)).eigenvalues
-        worst = min(worst, float(w[0]))
-    return worst
+    blocks = (traj.states[i:i + NODE_BLOCK]
+              for i in range(0, len(traj.states), NODE_BLOCK))
+    return min(float(hermitian_eigen(derealify(x)).eigenvalues.min())
+               for x in blocks)
 
 
 def pairing_drift(x_traj: Trajectory, p_traj: Trajectory) -> float:

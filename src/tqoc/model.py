@@ -43,15 +43,14 @@ OFFDIAG_SLOTS = tuple(j for j in range(16) if j not in DIAG_SLOTS)
 
 TRACE_TOL = 1e-9
 
-# (i, j) upper-triangle entry -> (real slot, imaginary slot), 0-based.
-_PAIR_SLOTS = {
-    (0, 1): (1, 2),
-    (0, 2): (3, 4),
-    (0, 3): (5, 6),
-    (1, 2): (8, 9),
-    (1, 3): (10, 11),
-    (2, 3): (13, 14),
-}
+# Upper-triangle entries (i, j) and their real/imaginary slots, 0-based:
+# rho[0, 1] is held in slots 1 (real) and 2 (imaginary), and so on.
+_UPPER_I = np.array([0, 0, 0, 1, 1, 2])
+_UPPER_J = np.array([1, 2, 3, 2, 3, 3])
+_RE = np.array([1, 3, 5, 8, 10, 13])
+_IM = _RE + 1
+_ROWS4 = np.arange(4)
+_DIAG = np.array(DIAG_SLOTS)
 
 
 @dataclass(frozen=True)
@@ -94,11 +93,13 @@ class SystemParams:
 
 
 def realify(rho: np.ndarray) -> np.ndarray:
-    """Encode a Hermitian unit-trace 4x4 matrix as a real 16-vector."""
+    """Encode a Hermitian unit-trace 4x4 matrix (or a stack) as real 16-vectors."""
     rho = require_hermitian(rho)
-    trace = float(np.trace(rho).real)
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise BadTraceError(f"trace {trace!r} deviates from 1 beyond {TRACE_TOL}")
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    bad = np.abs(trace - 1.0) > TRACE_TOL
+    if np.any(bad):
+        raise BadTraceError(f"trace {float(trace[bad][0])!r} deviates from 1 "
+                            f"beyond {TRACE_TOL}")
     return realify_raw(rho)
 
 
@@ -106,28 +107,31 @@ def realify_raw(rho: np.ndarray) -> np.ndarray:
     """Realification without the Hermiticity/trace checks.
 
     Used for linear-map probes (basis matrices are not density matrices).
-    Only the diagonal and upper triangle of ``rho`` are read.
+    Only the diagonal and upper triangle of ``rho`` are read; a stack of
+    shape (..., 4, 4) gives states of shape (..., 16).
     """
-    x = np.zeros(16)
-    for i, slot in zip(range(4), DIAG_SLOTS):
-        x[slot] = rho[i, i].real
-    for (i, j), (re_slot, im_slot) in _PAIR_SLOTS.items():
-        x[re_slot] = rho[i, j].real
-        x[im_slot] = rho[i, j].imag
+    rho = np.asarray(rho)
+    x = np.empty(rho.shape[:-2] + (16,))
+    x[..., _DIAG] = rho[..., _ROWS4, _ROWS4].real
+    upper = rho[..., _UPPER_I, _UPPER_J]
+    x[..., _RE] = upper.real
+    x[..., _IM] = upper.imag
     return x
 
 
 def derealify(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`realify`; always produces a Hermitian matrix."""
+    """Inverse of :func:`realify`; always produces Hermitian matrices.
+
+    A (16,) state gives a (4, 4) matrix, a (..., 16) stack (..., 4, 4).
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (16,):
-        raise ValueError(f"expected a 16-vector, got shape {x.shape}")
-    rho = np.zeros((4, 4), dtype=complex)
-    for i, slot in zip(range(4), DIAG_SLOTS):
-        rho[i, i] = x[slot]
-    for (i, j), (re_slot, im_slot) in _PAIR_SLOTS.items():
-        rho[i, j] = x[re_slot] + 1j * x[im_slot]
-        rho[j, i] = x[re_slot] - 1j * x[im_slot]
+    if x.ndim < 1 or x.shape[-1] != 16:
+        raise ValueError(f"expected 16-vectors, got shape {x.shape}")
+    rho = np.empty(x.shape[:-1] + (4, 4), dtype=complex)
+    rho[..., _ROWS4, _ROWS4] = x[..., _DIAG]
+    upper = x[..., _RE] + 1j * x[..., _IM]
+    rho[..., _UPPER_I, _UPPER_J] = upper
+    rho[..., _UPPER_J, _UPPER_I] = upper.conj()
     return rho
 
 

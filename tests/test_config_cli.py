@@ -58,6 +58,32 @@ def test_parse_named_function_controls():
     assert np.allclose(config.initial_controls.u, np.sin(lefts), atol=0.0)
 
 
+def test_initial_controls_sample_each_channel_at_its_own_points():
+    config = parse_config(tiny_config(
+        initial_controls={"u": {"function": "sin",
+                                "sampling": "left_endpoint"},
+                          "n1": {"function": "cos", "sampling": "midpoint"},
+                          "n2": 0.5}))
+    lefts = np.arange(10) * 0.2
+    mids = (np.arange(10) + 0.5) * 0.2
+    grid = config.initial_controls
+    assert np.array_equal(grid.u, [math.sin(t) for t in lefts])
+    assert np.array_equal(grid.n1, [math.cos(t) for t in mids])
+    assert np.array_equal(grid.n2, np.full(10, 0.5))
+
+
+def test_steering_presets_sample_u_at_left_endpoints():
+    for name in PRESET_NAMES:
+        if not name.startswith("sec6_3"):
+            continue
+        config = parse_config(PRESETS[name])
+        lefts = np.arange(config.N) * (config.T / config.N)
+        assert np.array_equal(config.initial_controls.u,
+                              [math.sin(t) for t in lefts]), name
+        assert not config.initial_controls.n1.any(), name
+        assert not config.initial_controls.n2.any(), name
+
+
 def test_parse_errors_carry_field_paths():
     with pytest.raises(ConfigError, match="rho0"):
         parse_config(tiny_config(rho0=[1.0, 0.0]))

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_density
+from tqoc import diagnostics
 from tqoc.controls import ControlGrid, constant_grid
 from tqoc.diagnostics import (aleph, compute_rows, distance_squared, entropy,
                               petz_renyi, purity, relative_entropy,
                               smoothed_overlap_dev, uj_fidelity)
 from tqoc.dynamics import Trajectory, propagate_forward
 from tqoc.errors import BadAlphaError, NotDensityMatrixError
-from tqoc.model import embed_diagonal, realify
+from tqoc.model import derealify, embed_diagonal, realify
 from tqoc.objectives import MINIMIZE_OVERLAP, SMOOTHED_DEVIATION, ObjectiveSpec
 
 
@@ -184,3 +186,106 @@ def test_compute_rows_ranges(matrices):
         assert row.rel_entropy >= -1e-9
         assert all(v >= -1e-9 for v in row.petz_renyi)
         assert math.isnan(row.smoothed_overlap_dev)
+
+
+# ---------------------------------------------------------------------------
+# compute_rows against an independent scipy.linalg oracle
+# ---------------------------------------------------------------------------
+
+ALPHAS = (0.1, 0.8, 5.0)
+
+
+def oracle_row(x, spec):
+    """Every diagnostics column from scipy matrix functions, one node."""
+    rho, sigma = derealify(x), derealify(spec.target)
+    overlap = float(np.trace(rho @ sigma).real)
+    root = scipy.linalg.sqrtm(rho)
+    fidelity = float(np.trace(scipy.linalg.sqrtm(root @ sigma @ root)).real)
+    log_rho = scipy.linalg.logm(rho)
+    petz = [math.log(float(np.trace(
+        scipy.linalg.fractional_matrix_power(rho, a)
+        @ scipy.linalg.fractional_matrix_power(sigma, 1.0 - a)).real))
+        / (a - 1.0) for a in ALPHAS]
+    return [overlap,
+            -float(np.trace(rho @ log_rho).real),
+            float(np.trace(rho @ rho).real),
+            fidelity ** 2,
+            float(np.trace(rho @ (log_rho - scipy.linalg.logm(sigma))).real),
+            *petz,
+            float(np.sum(np.abs(rho - sigma) ** 2)),
+            abs(overlap - spec.setpoint)]
+
+
+def row_values(row):
+    return [row.overlap, row.entropy, row.purity, row.uj_fidelity,
+            row.rel_entropy, *row.petz_renyi, row.distance_sq,
+            row.smoothed_overlap_dev]
+
+
+def test_compute_rows_matches_scipy_oracle(monkeypatch):
+    rng = np.random.default_rng(52)
+    states = [realify(random_full_rank(rng)) for _ in range(19)]
+    states.insert(9, embed_diagonal((0.25,) * 4))  # degenerate spectrum
+    traj = Trajectory(np.linspace(0.0, 1.0, 20), np.array(states))
+    spec = ObjectiveSpec(SMOOTHED_DEVIATION, realify(random_full_rank(rng)),
+                         setpoint=0.5, smoothing=1e-6)
+    # small blocks, so that the trajectory spans several and a ragged last one
+    monkeypatch.setattr(diagnostics, "NODE_BLOCK", 8)
+    rows = compute_rows(traj, spec, ALPHAS)
+    assert [row.t for row in rows] == traj.times.tolist()
+    for x, row in zip(traj.states, rows):
+        assert np.allclose(row_values(row), oracle_row(x, spec), rtol=1e-9,
+                           atol=1e-9)
+    # the I/4 row in closed form
+    w = np.linalg.eigvalsh(derealify(spec.target))
+    quarter = rows[9]
+    assert quarter.entropy == pytest.approx(math.log(4.0), abs=1e-12)
+    assert quarter.purity == pytest.approx(0.25, abs=1e-15)
+    assert quarter.uj_fidelity == pytest.approx(
+        float(np.sum(np.sqrt(w / 4.0)) ** 2), abs=1e-12)
+    assert quarter.rel_entropy == pytest.approx(
+        -math.log(4.0) - float(np.mean(np.log(w))), abs=1e-12)
+
+
+def test_compute_rows_blocking_does_not_change_values(monkeypatch, matrices):
+    rng = np.random.default_rng(53)
+    grid = ControlGrid(3.0, 30, rng.uniform(-1, 1, 30), rng.uniform(0, 2, 30),
+                       rng.uniform(0, 2, 30))
+    traj = propagate_forward(matrices, grid, realify(random_full_rank(rng)),
+                             K=600)
+    spec = ObjectiveSpec(SMOOTHED_DEVIATION, realify(random_full_rank(rng)),
+                         setpoint=0.5)
+    blocked = [row_values(r) for r in compute_rows(traj, spec)]
+    monkeypatch.setattr(diagnostics, "NODE_BLOCK", traj.times.size)
+    whole = [row_values(r) for r in compute_rows(traj, spec)]
+    assert np.allclose(blocked, whole, rtol=1e-14, atol=0.0)
+
+
+def test_compute_rows_pure_target_support_pattern(monkeypatch):
+    rng = np.random.default_rng(54)
+    states = [realify(random_full_rank(rng)) for _ in range(10)]
+    states += [embed_diagonal((1, 0, 0, 0)), embed_diagonal((0.5, 0.5, 0, 0)),
+               embed_diagonal((0, 0.5, 0.5, 0))]
+    traj = Trajectory(np.linspace(0.0, 1.0, 13), np.array(states))
+    target = embed_diagonal((1, 0, 0, 0))
+    spec = ObjectiveSpec(MINIMIZE_OVERLAP, target)
+    monkeypatch.setattr(diagnostics, "NODE_BLOCK", 4)
+    rows = compute_rows(traj, spec, ALPHAS)
+    # supp(rho) inside supp(sigma) only for the pure node equal to the target
+    pattern = [[math.isinf(v) for v in (r.rel_entropy, *r.petz_renyi)]
+               for r in rows]
+    full, equal, mixed, orthogonal = ([True, False, False, True],
+                                      [False] * 4,
+                                      [True, False, False, True],
+                                      [True, True, True, True])
+    assert pattern == [full] * 10 + [equal, mixed, orthogonal]
+    for x, row in zip(traj.states, rows):
+        rho = derealify(x)
+        # F(rho, |0><0|) = <0|rho|0>; the square roots of rounding-level
+        # eigenvalues of the fidelity matrix limit this to about 1e-8
+        assert row.uj_fidelity == pytest.approx(rho[0, 0].real, abs=1e-7)
+        for a, value in zip(ALPHAS, row.petz_renyi):
+            if a < 1.0 and rho[0, 0].real > 0.0:
+                power = scipy.linalg.fractional_matrix_power(rho, a)[0, 0]
+                assert value == pytest.approx(
+                    math.log(power.real) / (a - 1.0), rel=1e-9, abs=1e-9)

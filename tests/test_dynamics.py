@@ -11,7 +11,7 @@ from tqoc.dynamics import (adjoint_subnodes, forward_endpoint,
                            substep_counts, trace_drift, zero_control_adjoint,
                            zero_control_state)
 from tqoc.errors import BadTraceError, GridMismatchError
-from tqoc.model import embed_diagonal
+from tqoc.model import derealify, embed_diagonal
 from tqoc.pmp import switching_interval_means
 
 
@@ -139,6 +139,17 @@ def test_structural_invariants_along_trajectory(matrices):
     traj = propagate_forward(matrices, grid, embed_diagonal((1, 0, 0, 0)))
     assert trace_drift(traj) < 1e-9
     assert min_state_eigenvalue(traj) >= -1e-8
+
+
+def test_min_state_eigenvalue_is_minimum_of_node_spectra(matrices):
+    rng = np.random.default_rng(17)
+    grid = ControlGrid(3.0, 30, rng.uniform(-1, 1, 30), rng.uniform(0, 2, 30),
+                       rng.uniform(0, 2, 30))
+    traj = propagate_forward(matrices, grid, embed_diagonal((0.4, 0.3, 0.2,
+                                                            0.1)), K=600)
+    expected = min(float(np.linalg.eigvalsh(derealify(x))[0])
+                   for x in traj.states)
+    assert min_state_eigenvalue(traj) == pytest.approx(expected, abs=1e-15)
 
 
 def test_adjoint_rk4_cross_check(params, matrices):

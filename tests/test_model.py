@@ -125,3 +125,16 @@ def test_named_operators_shape():
     assert np.array_equal(V1, V1.conj().T)
     assert np.array_equal(V2, V2.conj().T)
     assert np.max(np.abs(V1 @ V1 - (2 * np.eye(4) + 2 * V2))) < 1e-14
+
+
+def test_roundtrip_single_vectors_and_stacks():
+    rng = np.random.default_rng(1)
+    states = np.array([realify(random_density(rng)) for _ in range(12)])
+    assert np.array_equal(realify(derealify(states[0])), states[0])
+    rho = derealify(states)
+    assert rho.shape == (12, 4, 4)
+    assert np.array_equal(realify(rho), states)
+    stacked = states.reshape(3, 4, 16)
+    assert np.array_equal(realify(derealify(stacked)), stacked)
+    for k in range(12):
+        assert np.array_equal(rho[k], derealify(states[k]))

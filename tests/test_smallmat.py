@@ -104,3 +104,28 @@ def test_matrix_function_clamps_tiny_eigenvalues():
     assert np.allclose(out, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-14)
     with pytest.raises(DomainError):
         matrix_function(m, lambda x: 1.0 / x, zero_clamp=1e-12)
+
+
+def test_eigen_stack_matches_single_calls():
+    rng = np.random.default_rng(13)
+    stack = np.array([random_hermitian(rng) for _ in range(200)])
+    w, u = hermitian_eigen(stack)
+    assert w.shape == (200, 4) and u.shape == (200, 4, 4)
+    for k in range(200):
+        w1, u1 = hermitian_eigen(stack[k])
+        assert np.array_equal(w[k], w1)
+        assert np.array_equal(u[k], u1)
+    assert np.max(np.abs(w - np.linalg.eigvalsh(stack))) <= 1e-12
+    # phase fix on every column: largest component real and positive
+    i = np.argmax(np.abs(u), axis=-2)[..., None, :]
+    z = np.take_along_axis(u, i, axis=-2)
+    assert np.all(z.real > 0.0)
+    assert np.max(np.abs(z.imag)) <= 1e-14
+
+
+def test_eigen_stack_rejects_one_non_hermitian_member():
+    rng = np.random.default_rng(14)
+    stack = np.array([random_hermitian(rng) for _ in range(10)])
+    stack[6, 0, 1] += 1e-6
+    with pytest.raises(NotHermitianError):
+        hermitian_eigen(stack)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadTraceError
-from .smallmat import require_hermitian
+from .smallmat import require_hermitian, require_hermitian_stack
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -94,7 +94,7 @@ class SystemParams:
 
 def realify(rho: np.ndarray) -> np.ndarray:
     """Encode a Hermitian unit-trace 4x4 matrix (or a stack) as real 16-vectors."""
-    rho = require_hermitian(rho)
+    rho = require_hermitian_stack(rho)
     trace = np.trace(rho, axis1=-2, axis2=-1).real
     bad = np.abs(trace - 1.0) > TRACE_TOL
     if np.any(bad):

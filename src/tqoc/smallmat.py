@@ -40,10 +40,21 @@ def hermiticity_defect(m: np.ndarray):
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Return ``m`` as complex if it is a Hermitian 4x4 matrix or stack."""
+    """Return ``m`` as complex if it is one Hermitian 4x4 matrix."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (4, 4):
+        raise NotHermitianError(f"expected a 4x4 matrix, got shape {m.shape}")
+    return require_hermitian_stack(m, tol)
+
+
+def require_hermitian_stack(m: np.ndarray,
+                            tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """Return ``m`` as complex if every matrix of a (..., 4, 4) stack is
+    Hermitian; a single 4x4 matrix is a stack too."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2:] != (4, 4):
-        raise NotHermitianError(f"expected a 4x4 matrix, got shape {m.shape}")
+        raise NotHermitianError(
+            f"expected 4x4 matrices, got shape {m.shape}")
     defect = np.max(hermiticity_defect(m), initial=0.0)
     if defect > tol:
         raise NotHermitianError(
@@ -60,7 +71,7 @@ def hermitian_eigen(m: np.ndarray) -> EigenDecomposition4:
     Eigenvalues are returned ascending; each eigenvector is phase-fixed so
     that its largest-magnitude component is real and positive.
     """
-    a = require_hermitian(m)
+    a = require_hermitian_stack(m)
     try:
         w, v = np.linalg.eigh(0.5 * (a + _adjoint(a)))
     except np.linalg.LinAlgError as exc:  # only non-finite entries get here

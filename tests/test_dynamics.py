@@ -4,7 +4,7 @@ import scipy.linalg
 
 from tqoc import dynamics
 from tqoc.controls import ControlGrid, constant_grid
-from tqoc.dynamics import (adjoint_subnodes, forward_endpoint,
+from tqoc.dynamics import (Trajectory, adjoint_subnodes, forward_endpoint,
                            forward_subnodes, interval_step_matrices,
                            min_state_eigenvalue, pairing_drift,
                            propagate_adjoint, propagate_forward,
@@ -150,6 +150,12 @@ def test_min_state_eigenvalue_is_minimum_of_node_spectra(matrices):
     expected = min(float(np.linalg.eigvalsh(derealify(x))[0])
                    for x in traj.states)
     assert min_state_eigenvalue(traj) == pytest.approx(expected, abs=1e-15)
+    # a slightly negative node is found wherever it sits in the blocks
+    for k in (0, 255, 256, 600):
+        states = traj.states.copy()
+        states[k] = embed_diagonal((0.5 + 1e-9, 0.5, 0.0, -1e-9))
+        assert min_state_eigenvalue(Trajectory(traj.times, states)) \
+            == pytest.approx(-1e-9, rel=1e-9)
 
 
 def test_adjoint_rk4_cross_check(params, matrices):

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_hermitian
 from tqoc.errors import DomainError, NotHermitianError
 from tqoc.model import V2
-from tqoc.smallmat import hermitian_eigen, matrix_function
+from tqoc.smallmat import hermitian_eigen, matrix_function, require_hermitian
 
 
 def test_eigen_diagonal_projector():
@@ -126,6 +126,8 @@ def test_eigen_stack_matches_single_calls():
 def test_eigen_stack_rejects_one_non_hermitian_member():
     rng = np.random.default_rng(14)
     stack = np.array([random_hermitian(rng) for _ in range(10)])
+    with pytest.raises(NotHermitianError):  # one matrix only
+        require_hermitian(stack)
     stack[6, 0, 1] += 1e-6
     with pytest.raises(NotHermitianError):
         hermitian_eigen(stack)

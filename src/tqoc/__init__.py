@@ -12,8 +12,7 @@ from .dynamics import (Trajectory, min_state_eigenvalue, pairing_drift,
                        zero_control_adjoint, zero_control_state)
 from .errors import (BadAlphaError, BadTraceError, ConfigError, DivergedError,
                      DomainError, GridMismatchError, NotDensityMatrixError,
-                     NotHermitianError, OutOfRangeError,
-                     ToleranceFailureError, TqocError)
+                     NotHermitianError, OutOfRangeError, TqocError)
 from .gpm import (GPM1, GPM2, DecayingStep, FixedStep, GpmConfig, GpmReport,
                   first_iteration_equivalence_check)
 from .gpm import run as run_gpm

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controls import ConstraintSet, ControlGrid
-from .errors import ConfigError
+from .errors import ConfigError, NotHermitianError
 from .gpm import GPM1, GPM2, DecayingStep, FixedStep, GpmConfig
 from .model import SystemParams, realify
 from .objectives import (KINDS, MAXIMIZE_OVERLAP, SMOOTHED_DEVIATION,
@@ -45,35 +45,52 @@ def _get_number(mapping, key, path, default=None, required=False):
             raise ConfigError(f"{path}.{key}: missing required value")
         return default
     value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"{path}.{key}: expected a number")
-    return float(value)
+    return _to_float(value, f"{path}.{key}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _to_float(value, path) -> float:
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse_matrix(value, path) -> np.ndarray:
-    """Accept a diagonal 4-vector or a full 4x4 matrix.
+    """Accept a diagonal 4-vector or a full 4x4 matrix of finite entries.
 
     Full-matrix entries are numbers or [re, im] pairs.
     """
     if not isinstance(value, list):
         raise ConfigError(f"{path}: expected a list")
-    if len(value) == 4 and all(isinstance(v, (int, float)) for v in value):
-        return np.diag(np.asarray(value, dtype=float)).astype(complex)
-    matrix = np.zeros((4, 4), dtype=complex)
     if len(value) != 4:
         raise ConfigError(f"{path}: expected 4 rows or a diagonal 4-vector")
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != 4:
-            raise ConfigError(f"{path}[{i}]: expected a row of 4 entries")
-        for j, entry in enumerate(row):
-            if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-                matrix[i, j] = float(entry)
-            elif (isinstance(entry, list) and len(entry) == 2
-                  and all(isinstance(v, (int, float)) for v in entry)):
-                matrix[i, j] = complex(float(entry[0]), float(entry[1]))
-            else:
-                raise ConfigError(
-                    f"{path}[{i}][{j}]: expected a number or [re, im] pair")
+    if all(_is_number(v) for v in value):
+        matrix = np.diag([_to_float(v, path) for v in value]).astype(complex)
+    else:
+        matrix = np.zeros((4, 4), dtype=complex)
+        for i, row in enumerate(value):
+            if not isinstance(row, list) or len(row) != 4:
+                raise ConfigError(f"{path}[{i}]: expected a row of 4 entries")
+            for j, entry in enumerate(row):
+                where = f"{path}[{i}][{j}]"
+                if _is_number(entry):
+                    matrix[i, j] = _to_float(entry, where)
+                elif (isinstance(entry, list) and len(entry) == 2
+                      and all(_is_number(v) for v in entry)):
+                    matrix[i, j] = complex(*(_to_float(v, where)
+                                             for v in entry))
+                else:
+                    raise ConfigError(
+                        f"{where}: expected a number or [re, im] pair")
+    # NaN passes every comparison in the trace and Hermiticity checks
+    if not np.all(np.isfinite(matrix)):
+        raise ConfigError(f"{path}: entries must be finite")
     return matrix
 
 
@@ -92,7 +109,7 @@ def _parse_system(data, path) -> SystemParams:
             kwargs[name] = value
     try:
         return SystemParams(interaction=interaction, **kwargs)
-    except ValueError as exc:
+    except (ValueError, NotHermitianError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

@@ -67,12 +67,24 @@ def _purities(rho: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", rho.conj(), rho).real
 
 
-def _uj_fidelities(eig_rho, sigma: np.ndarray) -> np.ndarray:
-    w, u = eig_rho
-    sqrt_rho = (u * np.sqrt(np.maximum(w, 0.0))[..., None, :]) \
+def _sqrt_psd(eig) -> np.ndarray:
+    """Principal square root(s) from an eigendecomposition."""
+    w, u = eig
+    return (u * np.sqrt(np.maximum(w, 0.0))[..., None, :]) \
         @ u.conj().swapaxes(-1, -2)
-    inner = hermitian_eigen(sqrt_rho @ sigma @ sqrt_rho).eigenvalues
-    return np.sum(np.sqrt(np.maximum(inner, 0.0)), axis=-1) ** 2
+
+
+def _uj_fidelities(eig_rho, sqrt_sigma: np.ndarray) -> np.ndarray:
+    """(Tr |M|)^2 with M = sqrt(rho) sqrt(sigma): the sum of the singular
+    values of M keeps full precision where sqrt(rho) sigma sqrt(rho) is
+    rank-deficient.  They are the top four eigenvalues of the Hermitian
+    dilation [[0, M], [M^H, 0]], which the Hermitian solver used for every
+    other column gives without loading a separate SVD driver."""
+    m = _sqrt_psd(eig_rho) @ sqrt_sigma
+    dilation = np.zeros(m.shape[:-2] + (8, 8), dtype=complex)
+    dilation[..., :4, 4:] = m
+    dilation[..., 4:, :4] = m.conj().swapaxes(-1, -2)
+    return np.sum(np.linalg.eigvalsh(dilation)[..., 4:], axis=-1) ** 2
 
 
 def _eigvec_overlaps(eig_rho, eig_sigma) -> np.ndarray:
@@ -118,7 +130,7 @@ def purity(rho: np.ndarray) -> float:
 def uj_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann-Jozsa fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
     eig_rho = _checked(rho)[1]
-    return float(_uj_fidelities(eig_rho, _checked(sigma)[0])[0])
+    return float(_uj_fidelities(eig_rho, _sqrt_psd(_checked(sigma)[1]))[0])
 
 
 def _eigen_pair(rho, sigma):
@@ -176,7 +188,7 @@ class DiagnosticsRow:
     smoothed_overlap_dev: float
 
 
-def _block_columns(states, spec, sigma, eig_sigma, alphas) -> np.ndarray:
+def _block_columns(states, spec, sqrt_sigma, eig_sigma, alphas) -> np.ndarray:
     """Columns overlap, entropy, purity, fidelity, relative entropy,
     distance and the Petz-Renyi orders, one row per node of the block."""
     rho = derealify(states)
@@ -187,7 +199,7 @@ def _block_columns(states, spec, sigma, eig_sigma, alphas) -> np.ndarray:
         states @ spec.weighted_target,  # objectives.overlap, node by node
         _entropies(w1),
         _purities(rho),
-        _uj_fidelities(eig_rho, sigma),
+        _uj_fidelities(eig_rho, sqrt_sigma),
         _rel_entropies(w1, w2, overlaps),
         _distances_sq(states, spec.target),
         *(_petz_renyis(w1, w2, overlaps, a) for a in alphas),
@@ -199,15 +211,16 @@ def compute_rows(traj: Trajectory, spec: ObjectiveSpec,
     """Diagnostics at every trajectory node against the objective's target.
 
     Nodes go through in blocks of ``NODE_BLOCK``; a block costs one
-    eigendecomposition of its states and one of its fidelity matrices.
+    eigendecomposition of its states and one of its fidelity dilations.
     """
-    sigma, eig_sigma = _checked(derealify(spec.target))
+    eig_sigma = _checked(derealify(spec.target))[1]
+    sqrt_sigma = _sqrt_psd(eig_sigma)
     steer = spec.setpoint is not None
     rows = []
     for i in range(0, len(traj.states), NODE_BLOCK):
         block = slice(i, i + NODE_BLOCK)
-        columns = _block_columns(traj.states[block], spec, sigma, eig_sigma,
-                                 alphas)
+        columns = _block_columns(traj.states[block], spec, sqrt_sigma,
+                                 eig_sigma, alphas)
         for t, (f, s, p, fid, rel, dist, *petz) in zip(
                 traj.times[block].tolist(), columns.tolist()):
             rows.append(DiagnosticsRow(

@@ -1,25 +1,14 @@
 """Forward and adjoint propagation of the realified bilinear system.
 
-Within each control interval the generator G = A + B_u u + B_n1 n1 + B_n2 n2
-is constant, so the integrators restart at every breakpoint and a
-piecewise-constant control never straddles a step.
-
-Two integration modes are provided:
-
-* ``dp54`` -- embedded Dormand-Prince 5(4) with adaptive steps
-  (rtol 1e-8 / atol 1e-10 by default), the user-facing default;
-* ``rk4`` -- fixed-step classical Runge-Kutta with 4 substeps per
-  interval, kept as an independent cross-check.
-
-The gradient/optimizer paths use the same Dormand-Prince tableau with a
-fixed number of substeps per interval (chosen from a generator-norm
-heuristic).  For a constant generator one substep is the degree-6
-polynomial R(hG), so all step maps are built at once as an (N, 16, 16)
-array.  Interval propagators R^subs[k] come from batched binary powering,
-a serial chain over the N breakpoints applies them, and batched substeps
-fill every interval's sub-nodes, stored as one (N, max(subs) + 1, 16)
-array (``SubnodeStates.states``) that also supplies matched quadrature
-nodes for the forward and adjoint passes.
+On each control interval the generator G = A + B_u u + B_n1 n1 + B_n2 n2 is
+constant, so a Runge-Kutta step is a fixed polynomial in z = h G.  One
+kernel serves every caller, with no adaptive step control: batched Horner
+step maps, interval propagators R^subs[k] by batched binary powering, and
+a serial chain.  The optimizer path (Dormand-Prince 5(4)) keeps every
+sub-node in one (N, max(subs) + 1, 16) array that also supplies matched
+quadrature nodes.  Post-run propagation on K = sub * N nodes applies one
+propagator per node span sub times, NODE_BLOCK intervals at a time; its
+``rk4`` mode is classical RK4, a coarse cross-check.
 """
 
 from __future__ import annotations
@@ -30,31 +19,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controls import ControlGrid
-from .errors import BadTraceError, GridMismatchError, ToleranceFailureError
+from .errors import BadTraceError, GridMismatchError
 from .model import SystemMatrices, SystemParams, derealify, state_trace
 from .smallmat import hermitian_eigen
 
-DEFAULT_RTOL = 1e-8
-DEFAULT_ATOL = 1e-10
+# Horner divisors, innermost first (acc = I + z acc / d): Dormand-Prince 5(4)
+# R(z) = 1 + z + ... + z^5/120 + z^6/600, and classical RK4 (Taylor-4).
+_DP5_DIVISORS = (5.0, 5.0, 4.0, 3.0, 2.0, 1.0)
+_TAYLOR4_DIVISORS = (4.0, 3.0, 2.0, 1.0)
 
-# Dormand-Prince 5(4) tableau.
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-
-# Fixed-substep heuristic: local error of one 5th-order substep scales like
-# (h * |G|)^6, so h * |G| <= _SUBSTEP_SCALE keeps it near 1e-12.
+# Substep heuristic: the local error of one 5th-order substep scales like
+# (h * |G|)^6, so h * |G| <= _SUBSTEP_SCALE keeps it near 1e-12.  Post-run
+# propagation, which pays only log2(subs) products, lifts the optimizer's cap.
 _SUBSTEP_SCALE = 0.04
 _SUBSTEP_MIN = 2
 _SUBSTEP_MAX = 64
+_PROPAGATE_SUBSTEP_MAX = 2 ** 20
 
-# Trajectory nodes per batch in the post-run spectral work (here and in
+# Intervals or nodes per batch in the post-run work (here and in
 # diagnostics.compute_rows): bounds the temporaries at no cost in speed.
 NODE_BLOCK = 256
 
@@ -73,117 +55,8 @@ class Trajectory:
             raise ValueError("times and states shapes are inconsistent")
 
 
-def _dp54_span(g: np.ndarray, x: np.ndarray, span: float, rtol: float,
-               atol: float, h_start: float | None = None) -> tuple[np.ndarray, float]:
-    """Adaptive integration of x' = g x over one span of constant g."""
-    t = 0.0
-    h = span if h_start is None else min(h_start, span)
-    while True:
-        remaining = span - t
-        if remaining <= span * 1e-12:  # roundoff-level leftover: done
-            break
-        h = min(h, remaining)
-        if h <= span * 1e-15:
-            raise ToleranceFailureError("step size underflow in dp54")
-        k1 = g @ x
-        k2 = g @ (x + h * (_A21 * k1))
-        k3 = g @ (x + h * (_A31 * k1 + _A32 * k2))
-        k4 = g @ (x + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = g @ (x + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = g @ (x + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
-                           + _A65 * k5))
-        x5 = x + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = g @ x5
-        err_vec = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
-                       + _E7 * k7)
-        sc = atol + rtol * np.maximum(np.abs(x), np.abs(x5))
-        err = math.sqrt(float(np.mean((err_vec / sc) ** 2)))
-        if err <= 1.0:
-            t += h
-            x = x5
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        else:
-            factor = max(0.2, 0.9 * err ** -0.2)
-        h *= factor
-    return x, h
-
-
-def _rk4_span(g: np.ndarray, x: np.ndarray, span: float, nsub: int) -> np.ndarray:
-    h = span / nsub
-    for _ in range(nsub):
-        k1 = g @ x
-        k2 = g @ (x + 0.5 * h * k1)
-        k3 = g @ (x + 0.5 * h * k2)
-        k4 = g @ (x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
-
-
-def _node_generators(m: SystemMatrices, grid: ControlGrid):
-    for k in range(grid.N):
-        yield m.generator(float(grid.u[k]), float(grid.n1[k]), float(grid.n2[k]))
-
-
-def propagate_forward(m: SystemMatrices, grid: ControlGrid, x0: np.ndarray,
-                      K: int | None = None, method: str = "dp54",
-                      rtol: float = DEFAULT_RTOL,
-                      atol: float = DEFAULT_ATOL) -> Trajectory:
-    """Solve x' = (A + B_u u + B_n1 n1 + B_n2 n2) x on K+1 uniform nodes.
-
-    K must be a multiple of N so nodes align with control breakpoints.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if abs(state_trace(x0) - 1.0) > 1e-9:
-        raise BadTraceError("initial state violates the trace condition")
-    return _propagate(m, grid, x0, K, method, rtol, atol, adjoint=False)
-
-
-def propagate_adjoint(m: SystemMatrices, grid: ControlGrid, p_terminal: np.ndarray,
-                      K: int | None = None, method: str = "dp54",
-                      rtol: float = DEFAULT_RTOL,
-                      atol: float = DEFAULT_ATOL) -> Trajectory:
-    """Solve the conjugate system p' = -(A + ...)^T p backward from t = T.
-
-    Implemented as forward integration in tau = T - t of q' = (A + ...)^T q;
-    the result is returned on the same ascending grid as the forward pass.
-    """
-    pT = np.asarray(p_terminal, dtype=float)
-    return _propagate(m, grid, pT, K, method, rtol, atol, adjoint=True)
-
-
-def _propagate(m, grid, start, K, method, rtol, atol, adjoint):
-    n = grid.N
-    K = n if K is None else int(K)
-    if K % n != 0:
-        raise GridMismatchError(f"K={K} is not a multiple of N={n}")
-    if method not in ("dp54", "rk4"):
-        raise ValueError(f"unknown integrator {method!r}")
-    sub = K // n
-    span = grid.T / K
-    states = np.empty((K + 1, 16))
-    gens = list(_node_generators(m, grid))
-    order = range(n - 1, -1, -1) if adjoint else range(n)
-    x = start
-    pos = 0
-    states[0] = x
-    h_hint = None
-    for k in order:
-        g = gens[k].T if adjoint else gens[k]
-        for _ in range(sub):
-            if method == "dp54":
-                x, h_hint = _dp54_span(g, x, span, rtol, atol, h_hint)
-            else:
-                x = _rk4_span(g, x, span, max(1, math.ceil(4 / sub)))
-            pos += 1
-            states[pos] = x
-    times = np.linspace(0.0, grid.T, K + 1)
-    if adjoint:
-        states = states[::-1].copy()
-    return Trajectory(times, states)
-
-
 # ---------------------------------------------------------------------------
-# Fixed-substep propagation with stored sub-nodes (gradient/optimizer path)
+# The polynomial kernel: step maps, interval propagators, serial chains
 # ---------------------------------------------------------------------------
 
 def _add_identity(mats: np.ndarray) -> np.ndarray:
@@ -193,40 +66,45 @@ def _add_identity(mats: np.ndarray) -> np.ndarray:
     return mats
 
 
-def interval_step_matrices(m: SystemMatrices, grid: ControlGrid,
-                           subs: np.ndarray) -> np.ndarray:
-    """Per-interval substep maps, batched; shape (N, 16, 16).
-
-    On a constant-generator interval one Dormand-Prince 5(4) step (the
-    5th-order solution) is exactly the polynomial
-    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 + z^5/120 + z^6/600 in z = h G,
-    evaluated here in Horner form with five batched products.
-
-    The adjoint pass reuses these transposed: a Runge-Kutta step for the
-    transposed generator is the transpose of the step for the original one.
-    """
-    h = grid.dt / np.asarray(subs, dtype=float)
-    coeffs = np.stack([h, h * grid.u, h * grid.n1, h * grid.n2], axis=1)
-    basis = np.stack([m.A, m.B_u, m.B_n1, m.B_n2]).reshape(4, -1)
-    z = (coeffs @ basis).reshape(grid.N, 16, 16)
-    acc = _add_identity(z / 5.0)
+def _horner(z: np.ndarray, divisors) -> np.ndarray:
+    """Step polynomial of every z in an (n, d, d) stack, batched."""
+    acc = _add_identity(z / divisors[0])
     tmp = np.empty_like(z)
-    for c in (5.0, 4.0, 3.0, 2.0):
+    for c in divisors[1:]:
         np.matmul(z, acc, out=tmp)
         tmp /= c
         acc, tmp = _add_identity(tmp), acc
-    return _add_identity(np.matmul(z, acc, out=tmp))
+    return acc
 
 
-def substep_counts(m: SystemMatrices, grid: ControlGrid) -> np.ndarray:
-    """Even substep count per interval from a generator-norm estimate."""
+def _scaled_generators(m: SystemMatrices, grid: ControlGrid,
+                       h: np.ndarray) -> np.ndarray:
+    """z_k = h_k G_k for every interval; shape (N, 16, 16)."""
+    coeffs = np.stack([h, h * grid.u, h * grid.n1, h * grid.n2], axis=1)
+    basis = np.stack([m.A, m.B_u, m.B_n1, m.B_n2]).reshape(4, -1)
+    return (coeffs @ basis).reshape(grid.N, 16, 16)
+
+
+def interval_step_matrices(m: SystemMatrices, grid: ControlGrid,
+                           subs: np.ndarray) -> np.ndarray:
+    """Dormand-Prince 5(4) substep maps R(h G), h = dt / subs, batched;
+    shape (N, 16, 16).  Five batched products in Horner form.
+
+    The adjoint pass reuses these transposed, since R(hG)^T = R(hG^T).
+    """
+    h = grid.dt / np.asarray(subs, dtype=float)
+    return _horner(_scaled_generators(m, grid, h), _DP5_DIVISORS)
+
+
+def substep_counts(m: SystemMatrices, grid: ControlGrid,
+                   limit: int = _SUBSTEP_MAX) -> np.ndarray:
+    """Even substep count per interval from a generator-norm bound, <= limit."""
     norm = lambda a: float(np.max(np.sum(np.abs(a), axis=1)))
     na, nu, n1, n2 = norm(m.A), norm(m.B_u), norm(m.B_n1), norm(m.B_n2)
     scale = (na + np.abs(grid.u) * nu + np.abs(grid.n1) * n1
              + np.abs(grid.n2) * n2)
     raw = np.ceil(grid.dt * scale / (2.0 * _SUBSTEP_SCALE))
-    counts = 2 * np.clip(raw.astype(int), _SUBSTEP_MIN // 2, _SUBSTEP_MAX // 2)
-    return counts
+    return 2 * np.clip(raw, _SUBSTEP_MIN // 2, limit // 2).astype(int)
 
 
 def _interval_propagators(step_mats: np.ndarray, subs: np.ndarray) -> np.ndarray:
@@ -253,22 +131,24 @@ def _interval_propagators(step_mats: np.ndarray, subs: np.ndarray) -> np.ndarray
         base = base @ base
 
 
-def _forward_chain(props: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Breakpoint states x_{k+1} = P_k x_k; shape (N+1, 16)."""
-    out = np.empty((len(props) + 1, 16))
+def _forward_chain(props: np.ndarray, x0: np.ndarray,
+                   reps: int = 1) -> np.ndarray:
+    """x_{i+1} = P x_i, each P_k applied reps times in turn."""
+    out = np.empty((reps * len(props) + 1, 16))
     out[0] = x0
-    for k, prop in enumerate(props):
-        out[k + 1] = prop @ out[k]
+    for i in range(len(out) - 1):
+        out[i + 1] = props[i // reps] @ out[i]
     return out
 
 
-def _adjoint_chain(props: np.ndarray, p_terminal: np.ndarray) -> np.ndarray:
-    """Breakpoint adjoints q_k = P_k^T q_{k+1}, t-ascending; shape (N+1, 16)."""
-    n = len(props)
+def _adjoint_chain(props: np.ndarray, p_terminal: np.ndarray,
+                   reps: int = 1) -> np.ndarray:
+    """q_i = q_{i+1} P backward from the last node, stored t-ascending."""
+    n = reps * len(props)
     out = np.empty((n + 1, 16))
     out[n] = p_terminal
-    for k in range(n - 1, -1, -1):
-        out[k] = out[k + 1] @ props[k]
+    for i in range(n - 1, -1, -1):
+        out[i] = out[i + 1] @ props[i // reps]
     return out
 
 
@@ -351,6 +231,65 @@ def forward_endpoint(m: SystemMatrices, grid: ControlGrid, x0: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# Post-run propagation on K uniform nodes
+# ---------------------------------------------------------------------------
+
+def propagate_forward(m: SystemMatrices, grid: ControlGrid, x0: np.ndarray,
+                      K: int | None = None, method: str = "dp54") -> Trajectory:
+    """Solve x' = (A + B_u u + B_n1 n1 + B_n2 n2) x on K+1 uniform nodes.
+
+    K must be a multiple of N so nodes align with control breakpoints.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if abs(state_trace(x0) - 1.0) > 1e-9:
+        raise BadTraceError("initial state violates the trace condition")
+    return _propagate(m, grid, x0, K, method, adjoint=False)
+
+
+def propagate_adjoint(m: SystemMatrices, grid: ControlGrid, p_terminal: np.ndarray,
+                      K: int | None = None, method: str = "dp54") -> Trajectory:
+    """Solve the conjugate system p' = -(A + ...)^T p backward from t = T,
+    as q <- q P with the forward propagators, on the same ascending grid."""
+    pT = np.asarray(p_terminal, dtype=float)
+    return _propagate(m, grid, pT, K, method, adjoint=True)
+
+
+def _propagate(m, grid, start, K, method, adjoint):
+    n = grid.N
+    K = n if K is None else int(K)
+    if K % n != 0:
+        raise GridMismatchError(f"K={K} is not a multiple of N={n}")
+    if method not in ("dp54", "rk4"):
+        raise ValueError(f"unknown integrator {method!r}")
+    sub, span = K // n, grid.T / K
+    states = np.empty((K + 1, 16))
+    x = start
+    lows = range(0, n, NODE_BLOCK)
+    for lo in (reversed(lows) if adjoint else lows):
+        hi = min(lo + NODE_BLOCK, n)
+        block = ControlGrid(span * (hi - lo), hi - lo, grid.u[lo:hi],
+                            grid.n1[lo:hi], grid.n2[lo:hi])
+        if method == "dp54":
+            # twice the optimizer's count: one more squaring per block cuts
+            # the truncation error about 32-fold
+            subs = 2 * substep_counts(m, block, _PROPAGATE_SUBSTEP_MAX)
+            steps = interval_step_matrices(m, block, subs)
+        else:
+            subs = np.full(block.N, max(1, math.ceil(4 / sub)))
+            steps = _horner(_scaled_generators(m, block, block.dt / subs),
+                            _TAYLOR4_DIVISORS)
+        props = _interval_propagators(steps, subs)
+        if adjoint:
+            chain = _adjoint_chain(props, x, reps=sub)
+            x = chain[0]
+        else:
+            chain = _forward_chain(props, x, reps=sub)
+            x = chain[-1]
+        states[lo * sub:hi * sub + 1] = chain
+    return Trajectory(np.linspace(0.0, grid.T, K + 1), states)
+
+
+# ---------------------------------------------------------------------------
 # Closed-form zero-control solutions (diagonal initial/target states)
 # ---------------------------------------------------------------------------
 
@@ -358,52 +297,49 @@ def _decay_rates(params: SystemParams) -> tuple[float, float]:
     return 2.0 * params.epsilon * params.Omega1, 2.0 * params.epsilon * params.Omega2
 
 
-def zero_control_state(params: SystemParams, populations, t: float) -> np.ndarray:
-    """Exact state at time t under zero controls from diag(a1..a4).
-
-    Written with decaying exponentials only (algebraically identical to the
-    direct expansion, which overflows for very large t).
-    """
-    a = np.asarray(populations, dtype=float)
+def _populations(values, name: str):
+    a = np.asarray(values, dtype=float)
     if a.shape != (4,) or np.any(a < -1e-12) or abs(a.sum() - 1.0) > 1e-9:
-        raise ValueError("populations must be nonnegative and sum to 1")
-    a1, a2, a3, a4 = (float(v) for v in a)
+        raise ValueError(f"{name} must be nonnegative and sum to 1")
+    return (float(v) for v in a)
+
+
+def zero_control_state(params: SystemParams, populations, t) -> np.ndarray:
+    """Exact state at time t (scalar: (16,); array: (len(t), 16)) under zero
+    controls from diag(a1..a4).  Decaying exponentials only: the direct
+    expansion overflows for very large t."""
+    a1, a2, a3, a4 = _populations(populations, "populations")
     k1, k2 = _decay_rates(params)
-    d1 = math.exp(-k1 * t)
-    d2 = math.exp(-k2 * t)
-    x = np.zeros(16)
-    x[0] = a1 + a2 * (1.0 - d2) + a3 * (1.0 - d1) + a4 * (1.0 - d1) * (1.0 - d2)
-    x[7] = d2 * (a2 + a4 - a4 * d1)
-    x[12] = d1 * (a3 + a4 - a4 * d2)
-    x[15] = a4 * d1 * d2
+    t = np.asarray(t, dtype=float)
+    d1, d2 = np.exp(-k1 * t), np.exp(-k2 * t)
+    x = np.zeros(t.shape + (16,))
+    x[..., 0] = (a1 + a2 * (1.0 - d2) + a3 * (1.0 - d1)
+                 + a4 * (1.0 - d1) * (1.0 - d2))
+    x[..., 7] = d2 * (a2 + a4 - a4 * d1)
+    x[..., 12] = d1 * (a3 + a4 - a4 * d2)
+    x[..., 15] = a4 * d1 * d2
     return x
 
 
 def zero_control_adjoint(params: SystemParams, target_diag, sense: int,
-                         T: float, t: float) -> np.ndarray:
-    """Exact adjoint at time t under zero controls, p(T) = sense * target.
-
-    Written with decaying exponentials of tau = T - t; algebraically equal
-    to the direct exponential expressions and stable for large T.
-    """
-    b = np.asarray(target_diag, dtype=float)
-    if b.shape != (4,) or np.any(b < -1e-12) or abs(b.sum() - 1.0) > 1e-9:
-        raise ValueError("target_diag must be nonnegative and sum to 1")
+                         T: float, t) -> np.ndarray:
+    """Exact adjoint at time t (scalar or array, as in zero_control_state)
+    under zero controls, p(T) = sense * target.  Decaying exponentials of
+    tau = T - t only, stable for large T."""
+    b1, b2, b3, b4 = _populations(target_diag, "target_diag")
     if sense not in (1, -1):
         raise ValueError("sense must be +1 or -1")
-    if not (0.0 <= t <= T):
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= t) & (t <= T)):
         raise ValueError(f"t={t} outside [0, {T}]")
-    b1, b2, b3, b4 = (float(v) for v in b)
     k1, k2 = _decay_rates(params)
-    tau = T - t
-    e1 = math.exp(-k1 * tau)
-    e2 = math.exp(-k2 * tau)
-    p = np.zeros(16)
-    p[0] = sense * b1
-    p[7] = sense * (b2 * e2 + b1 * (1.0 - e2))
-    p[12] = sense * (b3 * e1 + b1 * (1.0 - e1))
-    p[15] = sense * (b4 * e1 * e2 + b2 * e2 * (1.0 - e1) + b3 * e1 * (1.0 - e2)
-                     + b1 * (1.0 - e1) * (1.0 - e2))
+    e1, e2 = np.exp(-k1 * (T - t)), np.exp(-k2 * (T - t))
+    p = np.zeros(t.shape + (16,))
+    p[..., 0] = sense * b1
+    p[..., 7] = sense * (b2 * e2 + b1 * (1.0 - e2))
+    p[..., 12] = sense * (b3 * e1 + b1 * (1.0 - e1))
+    p[..., 15] = sense * (b4 * e1 * e2 + b2 * e2 * (1.0 - e1)
+                          + b3 * e1 * (1.0 - e2) + b1 * (1.0 - e1) * (1.0 - e2))
     return p
 
 

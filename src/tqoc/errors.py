@@ -29,10 +29,6 @@ class GridMismatchError(TqocError):
     """Two trajectories do not share the same time grid."""
 
 
-class ToleranceFailureError(TqocError):
-    """Adaptive step control could not meet the requested tolerance."""
-
-
 class BadAlphaError(TqocError):
     """Renyi order outside (0, 1) and (1, inf)."""
 

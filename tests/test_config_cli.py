@@ -267,8 +267,17 @@ def test_verify_command(tmp_path):
                           "n1": 1.0, "n2": 1.0}},
     {"initial_controls": {"u": {"function": "sin", "frequency": 1e308},
                           "n1": 1.0, "n2": 1.0}},
+    {"system": {"interaction": [[0.0, 1.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4,
+                                [0.0] * 4]}},
+    {"T": 10 ** 400},
+    {"rho0": [math.nan, 0.5, 0.25, 0.25]},
+    {"rho_target": [[0.7, [0.0, math.nan], 0.0, 0.0],
+                    [[0.0, math.nan], 0.1, 0.0, 0.0],
+                    [0.0, 0.0, 0.1, 0.0], [0.0, 0.0, 0.0, 0.1]]},
 ], ids=["K_zero", "K_negative", "T_infinite", "control_infinite",
-        "control_argument_overflow"])
+        "control_argument_overflow", "interaction_not_hermitian",
+        "T_integer_overflow",
+        "rho0_nan", "rho_target_nan"])
 def test_invalid_config_exits_1_without_outputs(tmp_path, overrides):
     with pytest.raises(ConfigError):
         parse_config(tiny_config(**overrides))

@@ -261,6 +261,24 @@ def test_compute_rows_blocking_does_not_change_values(monkeypatch, matrices):
     assert np.allclose(blocked, whole, rtol=1e-14, atol=0.0)
 
 
+def test_uj_fidelity_full_precision_against_pure_target(matrices):
+    # F(rho, |0><0|) = <0|rho|0> exactly; the fidelity matrix
+    # sqrt(rho) sigma sqrt(rho) has rank one at every node
+    rng = np.random.default_rng(61)
+    grid = ControlGrid(3.0, 30, rng.uniform(-2, 2, 30), rng.uniform(0, 2, 30),
+                       rng.uniform(0, 2, 30))
+    traj = propagate_forward(matrices, grid, realify(random_full_rank(rng)),
+                             K=300)
+    spec = ObjectiveSpec(MINIMIZE_OVERLAP, embed_diagonal((1, 0, 0, 0)))
+    exact = traj.states[:, 0]
+    assert np.min(np.linalg.eigvalsh(derealify(traj.states))) > 1e-3
+    fidelity = np.array([row.uj_fidelity for row in compute_rows(traj, spec)])
+    assert np.max(np.abs(fidelity - exact) / exact) <= 1e-13
+    for x in traj.states[::50]:
+        assert uj_fidelity(derealify(x), diag_rho(1, 0, 0, 0)) \
+            == pytest.approx(x[0], rel=1e-13, abs=0.0)
+
+
 def test_compute_rows_pure_target_support_pattern(monkeypatch):
     rng = np.random.default_rng(54)
     states = [realify(random_full_rank(rng)) for _ in range(10)]
@@ -281,8 +299,7 @@ def test_compute_rows_pure_target_support_pattern(monkeypatch):
     assert pattern == [full] * 10 + [equal, mixed, orthogonal]
     for x, row in zip(traj.states, rows):
         rho = derealify(x)
-        # F(rho, |0><0|) = <0|rho|0>; the square roots of rounding-level
-        # eigenvalues of the fidelity matrix limit this to about 1e-8
+        # F(rho, |0><0|) = <0|rho|0>
         assert row.uj_fidelity == pytest.approx(rho[0, 0].real, abs=1e-7)
         for a, value in zip(ALPHAS, row.petz_renyi):
             if a < 1.0 and rho[0, 0].real > 0.0:

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+
+from conftest import random_density
 
 from tqoc import dynamics
 from tqoc.controls import ControlGrid, constant_grid
@@ -11,7 +15,7 @@ from tqoc.dynamics import (Trajectory, adjoint_subnodes, forward_endpoint,
                            substep_counts, trace_drift, zero_control_adjoint,
                            zero_control_state)
 from tqoc.errors import BadTraceError, GridMismatchError
-from tqoc.model import derealify, embed_diagonal
+from tqoc.model import derealify, embed_diagonal, realify
 from tqoc.pmp import switching_interval_means
 
 
@@ -175,7 +179,120 @@ def test_single_interval_grid(matrices):
     assert trace_drift(traj) < 1e-12
 
 
-def test_fixed_substep_path_agrees_with_adaptive(matrices):
+# ---------------------------------------------------------------------------
+# Post-run propagation against an expm chain and the per-span RK4 loop
+# ---------------------------------------------------------------------------
+
+def expm_chain(m, grid, K, start, adjoint=False):
+    """Nodes of x' = G x (or q <- q exp(span G) backward) from per-interval
+    matrix exponentials, t-ascending."""
+    sub, span = K // grid.N, grid.T / K
+    maps = [scipy.linalg.expm(span * m.generator(grid.u[k], grid.n1[k],
+                                                 grid.n2[k]))
+            for k in range(grid.N)]
+    out = np.empty((K + 1, 16))
+    if adjoint:
+        out[K] = start
+        for i in range(K, 0, -1):
+            out[i - 1] = out[i] @ maps[(i - 1) // sub]
+    else:
+        out[0] = start
+        for i in range(K):
+            out[i + 1] = maps[i // sub] @ out[i]
+    return out
+
+
+def rk4_loop(m, grid, K, start, adjoint=False):
+    """Classical RK4 with max(1, ceil(4 / sub)) steps per node span."""
+    sub, span = K // grid.N, grid.T / K
+    nsub = max(1, math.ceil(4 / sub))
+    h = span / nsub
+    out = np.empty((K + 1, 16))
+    x = np.asarray(start, dtype=float)
+    out[0] = x
+    order = range(grid.N - 1, -1, -1) if adjoint else range(grid.N)
+    pos = 0
+    for k in order:
+        g = m.generator(grid.u[k], grid.n1[k], grid.n2[k])
+        g = g.T if adjoint else g
+        for _ in range(sub * nsub):
+            k1 = g @ x
+            k2 = g @ (x + 0.5 * h * k1)
+            k3 = g @ (x + 0.5 * h * k2)
+            k4 = g @ (x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            pos += 1
+            if pos % nsub == 0:
+                out[pos // nsub] = x
+    return out[::-1] if adjoint else out
+
+
+def _ragged_controls(rng, n):
+    return ControlGrid(0.3 * n, n, rng.uniform(-3, 3, n),
+                       rng.uniform(0, 5, n), rng.uniform(0, 5, n))
+
+
+@pytest.mark.parametrize("n", [23, dynamics.NODE_BLOCK - 1,
+                               dynamics.NODE_BLOCK + 1])
+@pytest.mark.parametrize("sub", [1, 2, 3])
+def test_propagation_matches_expm_chain(matrices, n, sub):
+    rng = np.random.default_rng(100 * sub + n)
+    grid = _ragged_controls(rng, n)
+    x0 = realify(random_density(rng))
+    p_terminal = rng.normal(size=16)
+    K = sub * n
+    fwd = propagate_forward(matrices, grid, x0, K=K)
+    adj = propagate_adjoint(matrices, grid, p_terminal, K=K)
+    assert np.array_equal(fwd.times, np.linspace(0.0, grid.T, K + 1))
+    assert np.max(np.abs(fwd.states - expm_chain(matrices, grid, K, x0))) \
+        <= 1e-11
+    assert np.max(np.abs(adj.states - expm_chain(matrices, grid, K,
+                                                 p_terminal, True))) <= 1e-11
+
+
+def test_propagation_keeps_accuracy_on_long_spans(matrices):
+    # spans far beyond the optimizer's substep cap
+    rng = np.random.default_rng(3)
+    grid = ControlGrid(60.0, 3, rng.uniform(-3, 3, 3), rng.uniform(0, 5, 3),
+                       rng.uniform(0, 5, 3))
+    x0 = realify(random_density(rng))
+    fwd = propagate_forward(matrices, grid, x0)
+    assert np.max(np.abs(fwd.states - expm_chain(matrices, grid, 3, x0))) \
+        <= 1e-11
+
+
+@pytest.mark.parametrize("n", [7, dynamics.NODE_BLOCK + 1])
+@pytest.mark.parametrize("sub", [1, 3, 5])
+def test_rk4_matches_per_span_loop(matrices, n, sub):
+    rng = np.random.default_rng(200 * sub + n)
+    grid = _ragged_controls(rng, n)
+    x0 = realify(random_density(rng))
+    p_terminal = rng.normal(size=16)
+    K = sub * n
+    fwd = propagate_forward(matrices, grid, x0, K=K, method="rk4")
+    adj = propagate_adjoint(matrices, grid, p_terminal, K=K, method="rk4")
+    assert _rel(fwd.states, rk4_loop(matrices, grid, K, x0)) <= 1e-13
+    assert _rel(adj.states, rk4_loop(matrices, grid, K, p_terminal,
+                                     True)) <= 1e-13
+
+
+def test_zero_control_closed_forms_take_time_arrays(params):
+    times = np.linspace(0.0, 70.0, 351)
+    pops, b = (0.1, 0.5, 0.15, 0.25), (0.7, 0.1, 0.1, 0.1)
+    states = zero_control_state(params, pops, times)
+    adjoints = zero_control_adjoint(params, b, -1, 70.0, times)
+    assert states.shape == adjoints.shape == (351, 16)
+    assert zero_control_state(params, pops, 3.0).shape == (16,)
+    for t, x, p in zip(times, states, adjoints):
+        assert np.max(np.abs(x - zero_control_state(params, pops, t))) \
+            <= 1e-15
+        assert np.max(np.abs(p - zero_control_adjoint(params, b, -1, 70.0,
+                                                      float(t)))) <= 1e-15
+    with pytest.raises(ValueError):
+        zero_control_adjoint(params, b, 1, 70.0, np.array([1.0, 70.5]))
+
+
+def test_fixed_substep_path_agrees_with_post_run_propagation(matrices):
     grid = ControlGrid(2.0, 10, np.full(10, 0.8), np.full(10, 1.0),
                        np.full(10, 2.0))
     x0 = embed_diagonal((0.25,) * 4)
@@ -189,25 +306,32 @@ def test_fixed_substep_path_agrees_with_adaptive(matrices):
 # Fixed-substep kernel against stage-form and per-substep references
 # ---------------------------------------------------------------------------
 
+# Dormand-Prince 5(4) tableau (5th-order weights).
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+
+
 def dp54_step_matrix(g, h):
     """One Dormand-Prince 5(4) step for x' = g x in stage form, as a matrix.
 
     Takes one generator or a stack (n, d, d) with one step size per entry.
     """
-    d = dynamics
     eye = np.eye(g.shape[-1])
     if g.ndim == 3:
         h = np.asarray(h, dtype=float).reshape(-1, 1, 1)
     k1 = g
-    k2 = g @ (eye + h * (d._A21 * k1))
-    k3 = g @ (eye + h * (d._A31 * k1 + d._A32 * k2))
-    k4 = g @ (eye + h * (d._A41 * k1 + d._A42 * k2 + d._A43 * k3))
-    k5 = g @ (eye + h * (d._A51 * k1 + d._A52 * k2 + d._A53 * k3
-                         + d._A54 * k4))
-    k6 = g @ (eye + h * (d._A61 * k1 + d._A62 * k2 + d._A63 * k3
-                         + d._A64 * k4 + d._A65 * k5))
-    return eye + h * (d._B1 * k1 + d._B3 * k3 + d._B4 * k4 + d._B5 * k5
-                      + d._B6 * k6)
+    k2 = g @ (eye + h * (_A21 * k1))
+    k3 = g @ (eye + h * (_A31 * k1 + _A32 * k2))
+    k4 = g @ (eye + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+    k5 = g @ (eye + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+    k6 = g @ (eye + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
+                         + _A65 * k5))
+    return eye + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
 
 
 def reference_forward_blocks(step_mats, subs, x0):

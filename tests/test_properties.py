@@ -1,15 +1,20 @@
-"""Property tests of the model's structure.
+"""Property tests of the model's structure and of the configuration parser.
 
 Examples are derandomized and capped, so the suite stays deterministic and
 fast.
 """
+
+import copy
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tqoc import dynamics
+from tqoc.config import parse_config
 from tqoc.controls import ConstraintSet, ControlGrid, project
+from tqoc.errors import ConfigError
 from tqoc.model import (DIAG_SLOTS, SystemParams, build_system_matrices,
                         derealify, realify_raw)
 
@@ -48,6 +53,20 @@ def test_generator_preserves_trace(params):
         assert np.max(np.abs(column_sums)) <= 1e-12 * scale
 
 
+@PROPERTY
+@given(system_params(), arrays(float, 3, elements=st.floats(0.0, 5.0)),
+       st.floats(1e-3, 1.0))
+def test_step_polynomials_commute_with_transpose(params, controls, reach):
+    # R(hG)^T = R(hG^T): the adjoint pass applies forward maps transposed
+    g = build_system_matrices(params).generator(*controls)
+    z = (reach / max(1.0, float(np.max(np.abs(g))))) * g
+    for divisors in (dynamics._DP5_DIVISORS, dynamics._TAYLOR4_DIVISORS):
+        forward = dynamics._horner(z[None].copy(), divisors)[0]
+        transposed = dynamics._horner(z.T[None].copy(), divisors)[0]
+        scale = max(1.0, float(np.max(np.abs(forward))))
+        assert np.max(np.abs(forward.T - transposed)) <= 1e-14 * scale
+
+
 @st.composite
 def grids_and_constraints(draw):
     n = draw(st.integers(1, 20))
@@ -78,3 +97,84 @@ def test_derealify_is_hermitian_and_inverts_realify_raw(states):
     for x, r in zip(states, rho):
         assert np.array_equal(derealify(x), r)
         assert np.array_equal(realify_raw(r), x)
+
+
+# ---------------------------------------------------------------------------
+# Configuration parsing: every input is a valid config or a ConfigError
+# ---------------------------------------------------------------------------
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(), st.text(max_size=3))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=3)),
+    max_leaves=12)
+# Diagonals of any floats (NaN and infinities included), and finite 4x4
+# matrices of numbers or [re, im] pairs, which are rarely Hermitian.
+small = st.floats(-2.0, 2.0)
+matrix_values = st.one_of(
+    st.lists(st.floats(), min_size=4, max_size=4),
+    st.lists(st.lists(st.one_of(small, st.lists(small, min_size=2,
+                                                max_size=2)),
+                      min_size=4, max_size=4), min_size=4, max_size=4))
+
+
+BASE_CONFIG = {
+    "system": {"interaction": "V1", "epsilon": 0.1},
+    "rho0": [0.25, 0.25, 0.25, 0.25],
+    "rho_target": [0.7, 0.1, 0.1, 0.1],
+    "objective": {"kind": "maximize_overlap", "upper_bound": 0.7},
+    "T": 2.0,
+    "N": 4,
+    "K": 8,
+    "constraints": {"u_max": 5.0, "n_max": 3.0},
+    "initial_controls": {"u": {"function": "sin", "amplitude": 2.0},
+                         "n1": 1.0, "n2": 0.5},
+    "optimizer": {"method": "gpm2", "alpha": 1.0, "max_iters": 3},
+}
+# Disjoint paths into BASE_CONFIG and the values they may take.  Positive
+# N stays small, because parsing samples N control values.
+HOSTILE = {
+    ("system", "interaction"): st.one_of(json_values, matrix_values),
+    ("system", "epsilon"): json_values,
+    ("rho0",): matrix_values,
+    ("rho_target",): matrix_values,
+    ("objective",): json_values,
+    ("T",): json_values,
+    ("N",): json_values.filter(lambda v: not (isinstance(v, int)
+                                              and v > 64)),
+    ("K",): json_values,
+    ("constraints",): json_values,
+    ("initial_controls", "u"): json_values,
+    ("initial_controls", "n1"): json_values,
+    ("optimizer",): json_values,
+    ("outputs",): json_values,
+}
+
+
+@st.composite
+def configs(draw):
+    """BASE_CONFIG with one or two of its fields replaced."""
+    data = copy.deepcopy(BASE_CONFIG)
+    paths = draw(st.lists(st.sampled_from(sorted(HOSTILE)), min_size=1,
+                          max_size=2, unique=True))
+    for path in paths:
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(HOSTILE[path])
+    return data
+
+
+@PROPERTY
+@given(configs())
+def test_parse_config_accepts_or_raises_config_error(data):
+    try:
+        config = parse_config(data)
+    except ConfigError:
+        return
+    assert config.K % config.N == 0
+    assert np.all(np.isfinite(config.rho0))
+    assert np.all(np.isfinite(config.rho_target))

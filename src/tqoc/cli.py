@@ -25,8 +25,8 @@ import numpy as np
 from . import pmp
 from .config import (SCHEMA_VERSION, ExperimentConfig, load_config,
                      parse_config)
-from .controls import (constant_grid, init_from_functions, project,
-                       write_controls_csv)
+from .controls import (ControlGrid, constant_grid, init_from_functions,
+                       project, write_controls_csv)
 from .diagnostics import aleph, compute_rows
 from .dynamics import (forward_endpoint, propagate_adjoint,
                        propagate_forward, substep_counts,
@@ -180,9 +180,7 @@ def run_exact_optimality_check(out_dir, integrator: str = "dp54",
     it for the maximization problem.
     """
     data = SEC4_6_CHECK
-    params = SystemParams(interaction=data["system"]["interaction"],
-                          **{k: v for k, v in data["system"].items()
-                             if k != "interaction"})
+    params = SystemParams(**data["system"])
     matrices = build_system_matrices(params)
     T, n_intervals = data["T"], data["N"]
     b = tuple(data["rho_target"])
@@ -270,11 +268,11 @@ def _verify_gradient_fd(config, matrices):
     src = config.initial_controls
     take = [min(k * stride, config.N - 1) for k in range(n_fd)]
     grid = project(
-        src.__class__(horizon, n_fd, src.u[take], src.n1[take], src.n2[take]),
+        ControlGrid(horizon, n_fd, src.u[take], src.n1[take], src.n2[take]),
         config.constraints)
     x0 = realify(config.rho0)
     subs = substep_counts(matrices, grid)
-    result = pmp.gradient(matrices, grid, config.objective, x0, subs=subs)
+    result = pmp.gradient(matrices, grid, config.objective, x0)
     delta = 1e-5
     dt = grid.dt
     max_rel = 0.0
@@ -286,7 +284,7 @@ def _verify_gradient_fd(config, matrices):
                 arrays = {name: getattr(grid, name).copy()
                           for name in ("u", "n1", "n2")}
                 arrays[channel][k] += sign * delta
-                bumped = grid.__class__(grid.T, grid.N, **arrays)
+                bumped = ControlGrid(grid.T, grid.N, **arrays)
                 x_end = forward_endpoint(matrices, bumped, x0, subs)
                 values.append(evaluate(x_end, config.objective))
             fd = (values[0] - values[1]) / (2.0 * delta * dt)

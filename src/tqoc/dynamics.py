@@ -4,11 +4,13 @@ On each control interval the generator G = A + B_u u + B_n1 n1 + B_n2 n2 is
 constant, so a Runge-Kutta step is a fixed polynomial in z = h G.  One
 kernel serves every caller, with no adaptive step control: batched Horner
 step maps, interval propagators R^subs[k] by batched binary powering, and
-a serial chain.  The optimizer path (Dormand-Prince 5(4)) keeps every
-sub-node in one (N, max(subs) + 1, 16) array that also supplies matched
-quadrature nodes.  Post-run propagation on K = sub * N nodes applies one
-propagator per node span sub times, NODE_BLOCK intervals at a time; its
-``rk4`` mode is classical RK4, a coarse cross-check.
+a serial chain.  On the optimizer path (Dormand-Prince 5(4)) only the
+forward pass builds a control's step maps and propagators, and the adjoint
+pass reuses them; every sub-node sits in one (N, max(subs) + 1, 16) array
+that also supplies matched quadrature nodes.  Post-run propagation on
+K = sub * N nodes applies one propagator per node span sub times,
+NODE_BLOCK intervals at a time; its ``rk4`` mode is classical RK4, a
+coarse cross-check.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controls import ControlGrid
-from .errors import BadTraceError, GridMismatchError
+from .errors import BadTraceError, ConfigError, GridMismatchError
 from .model import SystemMatrices, SystemParams, derealify, state_trace
 from .smallmat import hermitian_eigen
 
@@ -107,14 +109,14 @@ def substep_counts(m: SystemMatrices, grid: ControlGrid,
     return 2 * np.clip(raw, _SUBSTEP_MIN // 2, limit // 2).astype(int)
 
 
-def _interval_propagators(step_mats: np.ndarray, subs: np.ndarray) -> np.ndarray:
+def _interval_propagators(steps: np.ndarray, subs: np.ndarray) -> np.ndarray:
     """P_k = S_k^subs[k] by batched binary powering; shape (N, 16, 16).
 
     Every interval squares its base on each bit; only intervals whose
     current bit is set multiply it into their product.
     """
     bits = np.array(subs, dtype=np.int64)
-    base = step_mats
+    base = steps
     prop = None
     while True:
         odd = (bits & 1).astype(bool)
@@ -159,12 +161,15 @@ class SubnodeStates:
     ``states`` has shape (N, max(subs) + 1, 16).  Row ``[k, i]`` is sub-node
     i of interval k: row 0 sits on the breakpoint t_k and row subs[k] on
     t_{k+1}.  Rows past subs[k] repeat the interval's end state, so
-    ``states[k, -1]`` is the same vector as ``states[k + 1, 0]``.
+    ``states[k, -1]`` is the same vector as ``states[k + 1, 0]``.  ``steps``
+    and ``props`` are the control's step maps and propagators, (N, 16, 16).
     """
 
     grid: ControlGrid
     subs: np.ndarray
     states: np.ndarray
+    steps: np.ndarray
+    props: np.ndarray
 
     @property
     def end_state(self) -> np.ndarray:
@@ -176,57 +181,51 @@ class SubnodeStates:
 
 
 def forward_subnodes(m: SystemMatrices, grid: ControlGrid, x0: np.ndarray,
-                     subs: np.ndarray,
-                     step_mats: np.ndarray | None = None) -> SubnodeStates:
-    """Forward pass on the fixed sub-grid.
+                     subs: np.ndarray) -> SubnodeStates:
+    """Forward pass on the fixed sub-grid; the one builder of the kernel.
 
-    Breakpoint states come from the propagator chain; the interior
-    sub-nodes of all intervals are then filled by batched substeps.
+    Step maps and propagators are built once per control and kept for
+    ``adjoint_subnodes``.  The propagator chain gives the breakpoints and
+    batched substeps fill the sub-nodes.  ``subs`` stays 4th, as in the
+    other entry points, because perfbench/tracer.py counts substeps there.
     """
     subs = np.asarray(subs)
-    if step_mats is None:
-        step_mats = interval_step_matrices(m, grid, subs)
-    ends = _forward_chain(_interval_propagators(step_mats, subs),
-                          np.asarray(x0, dtype=float))
+    steps = interval_step_matrices(m, grid, subs)
+    props = _interval_propagators(steps, subs)
+    ends = _forward_chain(props, np.asarray(x0, dtype=float))
     smax = int(subs.max())
     states = np.empty((grid.N, smax + 1, 16))
     states[:, 0] = ends[:-1]
     for i in range(1, smax):
-        states[:, i] = np.einsum("kij,kj->ki", step_mats, states[:, i - 1])
+        states[:, i] = np.einsum("kij,kj->ki", steps, states[:, i - 1])
     past = np.arange(smax + 1) >= subs[:, None]
     np.copyto(states, ends[1:, None, :], where=past[:, :, None])
-    return SubnodeStates(grid, subs, states)
+    return SubnodeStates(grid, subs, states, steps, props)
 
 
 def adjoint_subnodes(m: SystemMatrices, grid: ControlGrid, p_terminal: np.ndarray,
-                     subs: np.ndarray,
-                     step_mats: np.ndarray | None = None) -> SubnodeStates:
-    """Backward pass on the same sub-grid; states are stored t-ascending."""
+                     subs: np.ndarray, fwd: SubnodeStates) -> SubnodeStates:
+    """Backward pass on the same sub-grid, stored t-ascending.  Builds
+    nothing: it applies ``fwd``'s maps transposed (R(hG)^T = R(hG^T))."""
     subs = np.asarray(subs)
-    if step_mats is None:
-        step_mats = interval_step_matrices(m, grid, subs)
-    ends = _adjoint_chain(_interval_propagators(step_mats, subs),
-                          np.asarray(p_terminal, dtype=float))
+    ends = _adjoint_chain(fwd.props, np.asarray(p_terminal, dtype=float))
     smax = int(subs.max())
     # back[k, j] is the adjoint j substeps before t_{k+1}; sub-node i of
     # interval k is back[k, subs[k] - i], except row 0, which is the chain's.
     back = np.empty((grid.N, smax, 16))
     back[:, 0] = ends[1:]
     for j in range(1, smax):
-        back[:, j] = np.einsum("kji,kj->ki", step_mats, back[:, j - 1])
+        back[:, j] = np.einsum("kji,kj->ki", fwd.steps, back[:, j - 1])
     lag = np.clip(subs[:, None] - np.arange(smax + 1), 0, smax - 1)
     states = np.take_along_axis(back, lag[:, :, None], axis=1)
     states[:, 0] = ends[:-1]
-    return SubnodeStates(grid, subs, states)
+    return SubnodeStates(grid, subs, states, fwd.steps, fwd.props)
 
 
 def forward_endpoint(m: SystemMatrices, grid: ControlGrid, x0: np.ndarray,
-                     subs: np.ndarray,
-                     step_mats: np.ndarray | None = None) -> np.ndarray:
+                     subs: np.ndarray) -> np.ndarray:
     """Final state only, on the same fixed sub-grid discretization."""
-    if step_mats is None:
-        step_mats = interval_step_matrices(m, grid, subs)
-    props = _interval_propagators(step_mats, subs)
+    props = _interval_propagators(interval_step_matrices(m, grid, subs), subs)
     return _forward_chain(props, np.asarray(x0, dtype=float))[-1]
 
 
@@ -262,7 +261,10 @@ def _propagate(m, grid, start, K, method, adjoint):
     if method not in ("dp54", "rk4"):
         raise ValueError(f"unknown integrator {method!r}")
     sub, span = K // n, grid.T / K
-    states = np.empty((K + 1, 16))
+    try:
+        states = np.empty((K + 1, 16))
+    except (ValueError, MemoryError) as exc:  # beyond address space or RAM
+        raise ConfigError(f"K={K}: no room for {K + 1} nodes: {exc}") from exc
     x = start
     lows = range(0, n, NODE_BLOCK)
     for lo in (reversed(lows) if adjoint else lows):

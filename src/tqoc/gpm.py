@@ -15,7 +15,7 @@ import numpy as np
 
 from .controls import ConstraintSet, ControlGrid, contains, project
 from .dynamics import (Trajectory, adjoint_subnodes, forward_subnodes,
-                       interval_step_matrices, substep_counts)
+                       substep_counts)
 from .errors import DivergedError
 from .model import SystemMatrices
 from .objectives import (SMOOTHED_DEVIATION, ObjectiveSpec, evaluate, overlap,
@@ -118,9 +118,7 @@ def run(m: SystemMatrices, spec: ObjectiveSpec, x0: np.ndarray,
     x0 = np.asarray(x0, dtype=float)
 
     control = c0
-    subs = substep_counts(m, control)
-    steps = interval_step_matrices(m, control, subs)
-    fwd = forward_subnodes(m, control, x0, subs, steps)
+    fwd = forward_subnodes(m, control, x0, substep_counts(m, control))
     value = evaluate(fwd.end_state, spec)
     j_value = overlap(fwd.end_state, spec)
     if not np.isfinite(value):
@@ -134,27 +132,22 @@ def run(m: SystemMatrices, spec: ObjectiveSpec, x0: np.ndarray,
         return GpmReport(iterates, control, fwd.at_breakpoints(), reason,
                          cauchy, non_monotone)
 
-    previous: ControlGrid | None = None
+    previous: np.ndarray | None = None  # the last iterate's (u, n1, n2)
     reason = STOP_MAX_ITERS
     for k in range(cfg.max_iters):
         adj = adjoint_subnodes(m, control, transversality(fwd.end_state, spec),
-                               subs, steps)
+                               fwd.subs, fwd)
         cauchy += 1
         kbar = switching_interval_means(m, fwd, adj)  # minus the gradient
         alpha = cfg.step.at(k)
-        new_u = control.u + alpha * kbar[0]
-        new_n1 = control.n1 + alpha * kbar[1]
-        new_n2 = control.n2 + alpha * kbar[2]
+        samples = np.stack([control.u, control.n1, control.n2])
+        new = samples + alpha * kbar
         if cfg.method == GPM2 and k > 0:
-            new_u = new_u + cfg.beta * (control.u - previous.u)
-            new_n1 = new_n1 + cfg.beta * (control.n1 - previous.n1)
-            new_n2 = new_n2 + cfg.beta * (control.n2 - previous.n2)
-        candidate = project(
-            ControlGrid(control.T, control.N, new_u, new_n1, new_n2), q)
+            new = new + cfg.beta * (samples - previous)
+        candidate = project(ControlGrid(control.T, control.N, *new), q)
 
-        subs_next = substep_counts(m, candidate)
-        steps_next = interval_step_matrices(m, candidate, subs_next)
-        fwd_next = forward_subnodes(m, candidate, x0, subs_next, steps_next)
+        fwd_next = forward_subnodes(m, candidate, x0,
+                                    substep_counts(m, candidate))
         cauchy += 1
         value_next = evaluate(fwd_next.end_state, spec)
         j_next = overlap(fwd_next.end_state, spec)
@@ -165,14 +158,12 @@ def run(m: SystemMatrices, spec: ObjectiveSpec, x0: np.ndarray,
         if value_next > value:
             non_monotone.append(k + 1)
 
-        stop = None
         if abs(value_next - value) < cfg.stop_tol_delta:
             stop = STOP_DELTA_OBJECTIVE
         else:
             stop = _smoothed_stop(spec, cfg, value_next, j_next)
 
-        previous, control = control, candidate
-        subs, steps, fwd = subs_next, steps_next, fwd_next
+        previous, control, fwd = samples, candidate, fwd_next
         value, j_value = value_next, j_next
         if stop is not None:
             reason = stop

@@ -16,9 +16,8 @@ import numpy as np
 
 from .controls import ControlGrid, constant_grid
 from .dynamics import (SubnodeStates, Trajectory, adjoint_subnodes,
-                       forward_subnodes, interval_step_matrices,
-                       propagate_adjoint, propagate_forward, substep_counts,
-                       zero_control_adjoint)
+                       forward_subnodes, propagate_adjoint, propagate_forward,
+                       substep_counts, zero_control_adjoint)
 from .errors import GridMismatchError
 from .model import SystemMatrices, SystemParams, build_system_matrices, embed_diagonal
 from .objectives import ObjectiveSpec, evaluate, overlap, transversality
@@ -95,7 +94,7 @@ class GradientResult:
 
 
 def gradient(m: SystemMatrices, grid: ControlGrid, spec: ObjectiveSpec,
-             x0: np.ndarray, subs: np.ndarray | None = None) -> GradientResult:
+             x0: np.ndarray) -> GradientResult:
     """Forward solve, transversality, backward solve; two Cauchy problems.
 
     The per-interval gradient components are minus the interval-averaged
@@ -103,14 +102,13 @@ def gradient(m: SystemMatrices, grid: ControlGrid, spec: ObjectiveSpec,
     exactly the derivative of I with respect to each piecewise-constant
     sample divided by the interval length.
     """
-    if subs is None:
-        subs = substep_counts(m, grid)
-    steps = interval_step_matrices(m, grid, subs)
-    fwd = forward_subnodes(m, grid, np.asarray(x0, dtype=float), subs, steps)
+    fwd = forward_subnodes(m, grid, np.asarray(x0, dtype=float),
+                           substep_counts(m, grid))
     x_final = fwd.end_state
     value = evaluate(x_final, spec)
     j_value = overlap(x_final, spec)
-    adj = adjoint_subnodes(m, grid, transversality(x_final, spec), subs, steps)
+    adj = adjoint_subnodes(m, grid, transversality(x_final, spec), fwd.subs,
+                           fwd)
     grad = -switching_interval_means(m, fwd, adj)
     return GradientResult(grad, value, j_value, fwd.at_breakpoints(),
                           adj.at_breakpoints())

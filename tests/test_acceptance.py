@@ -139,7 +139,7 @@ def fd_suite():
     for i in range(20):
         m, grid, spec, x0 = _fd_config(i, rng, mats_cache)
         subs = substep_counts(m, grid)
-        res = gradient(m, grid, spec, x0, subs=subs)
+        res = gradient(m, grid, spec, x0)
         errors = []  # (|g|, best error over the delta sweep, is_relative)
         for row, channel in enumerate(("u", "n1", "n2")):
             for k in range(grid.N):

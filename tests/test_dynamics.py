@@ -389,8 +389,8 @@ def test_subnode_kernel_matches_per_substep_loops(matrices, n):
     x0 = embed_diagonal((0.4, 0.3, 0.2, 0.1))
     p_terminal = rng.normal(size=16)
     steps = interval_step_matrices(matrices, grid, subs)
-    fwd = forward_subnodes(matrices, grid, x0, subs, steps)
-    adj = adjoint_subnodes(matrices, grid, p_terminal, subs, steps)
+    fwd = forward_subnodes(matrices, grid, x0, subs)
+    adj = adjoint_subnodes(matrices, grid, p_terminal, subs, fwd)
     ref_fwd = reference_forward_blocks(steps, subs, x0)
     ref_adj = reference_adjoint_blocks(steps, subs, p_terminal)
     smax = int(subs.max())
@@ -404,8 +404,6 @@ def test_subnode_kernel_matches_per_substep_loops(matrices, n):
                 np.broadcast_to(got.states[k, nsub], (smax + 1 - nsub, 16)))
     assert _rel(fwd.end_state, ref_fwd[-1][-1]) <= 1e-12
     assert _rel(forward_endpoint(matrices, grid, x0, subs),
-                ref_fwd[-1][-1]) <= 1e-12
-    assert _rel(forward_endpoint(matrices, grid, x0, subs, steps),
                 ref_fwd[-1][-1]) <= 1e-12
     ref_bp = np.array([b[0] for b in ref_fwd] + [ref_fwd[-1][-1]])
     assert _rel(fwd.at_breakpoints().states, ref_bp) <= 1e-12

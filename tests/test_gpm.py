@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_density
+from tqoc import dynamics
 from tqoc.controls import ConstraintSet, ControlGrid, constant_grid, contains
+from tqoc.dynamics import (adjoint_subnodes, forward_subnodes,
+                           interval_step_matrices, substep_counts)
 from tqoc.errors import DivergedError
 from tqoc.gpm import (GPM1, GPM2, DecayingStep, FixedStep, GpmConfig,
                       first_iteration_equivalence_check)
@@ -51,6 +54,31 @@ def test_zero_gradient_stops_immediately(matrices):
     assert report.cauchy_count == 3
     assert np.array_equal(report.final_control.u, c0.u)
     assert np.array_equal(report.final_control.n1, c0.n1)
+
+
+def test_each_control_is_powered_once(matrices, monkeypatch):
+    # the forward pass builds a control's kernel and the adjoint reuses it,
+    # so there is one binary powering per forward solve
+    calls = []
+    original = dynamics._interval_propagators
+
+    def counting(steps, subs):
+        calls.append(len(subs))
+        return original(steps, subs)
+
+    monkeypatch.setattr(dynamics, "_interval_propagators", counting)
+    spec, x0, c0 = small_problem(matrices)
+    cfg = GpmConfig(step=FixedStep(2e4), max_iters=5, stop_tol_delta=0.0)
+    report = run_gpm(matrices, spec, x0, c0, ConstraintSet(), cfg)
+    assert len(report.iterates) == 6
+    assert len(calls) == len(report.iterates)
+
+    subs = substep_counts(matrices, c0)
+    fwd = forward_subnodes(matrices, c0, x0, subs)
+    adj = adjoint_subnodes(matrices, c0, spec.target, subs, fwd)
+    assert adj.props is fwd.props and adj.steps is fwd.steps
+    assert np.array_equal(fwd.steps,
+                          interval_step_matrices(matrices, c0, subs))
 
 
 def test_descent_on_small_problem(matrices):

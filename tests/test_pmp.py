@@ -128,7 +128,7 @@ def test_gradient_finite_difference_small_case(matrices):
     x0 = realify(random_density(rng))
     spec = ObjectiveSpec(MINIMIZE_OVERLAP, realify(random_density(rng)))
     subs = substep_counts(matrices, grid)
-    res = gradient(matrices, grid, spec, x0, subs=subs)
+    res = gradient(matrices, grid, spec, x0)
     delta, dt = 1e-5, grid.dt
     for row, channel in enumerate(("u", "n1", "n2")):
         for k in range(grid.N):

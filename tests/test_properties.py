@@ -1,17 +1,21 @@
-"""Property tests of the model's structure and of the configuration parser.
+"""Property tests of the model's structure, of the configuration parser and
+of the CLI run command end to end.
 
 Examples are derandomized and capped, so the suite stays deterministic and
 fast.
 """
 
 import copy
+import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tqoc import dynamics
+from tqoc.cli import main
 from tqoc.config import parse_config
 from tqoc.controls import ConstraintSet, ControlGrid, project
 from tqoc.errors import ConfigError
@@ -154,17 +158,31 @@ HOSTILE = {
 }
 
 
+# Values that mostly parse, so that runs reach the optimizer and the writers.
+PLAUSIBLE = {
+    ("system", "epsilon"): st.floats(1e-6, 1e6),
+    ("system", "Omega1"): st.floats(1e-6, 1e6),
+    ("T",): st.floats(1e-300, 1e300),
+    ("N",): st.sampled_from([1, 2, 4]),
+    ("K",): st.sampled_from([4, 8, 64, 256]),
+    ("initial_controls", "u"): st.floats(-1e6, 1e6),
+    ("initial_controls", "n1"): st.floats(0.0, 1e6),
+    ("optimizer", "alpha"): st.floats(1e-6, 1e12),
+    ("optimizer", "method"): st.sampled_from(["gpm1", "gpm2"]),
+}
+
+
 @st.composite
-def configs(draw):
+def configs(draw, fields=HOSTILE):
     """BASE_CONFIG with one or two of its fields replaced."""
     data = copy.deepcopy(BASE_CONFIG)
-    paths = draw(st.lists(st.sampled_from(sorted(HOSTILE)), min_size=1,
+    paths = draw(st.lists(st.sampled_from(sorted(fields)), min_size=1,
                           max_size=2, unique=True))
     for path in paths:
         node = data
         for key in path[:-1]:
             node = node[key]
-        node[path[-1]] = draw(HOSTILE[path])
+        node[path[-1]] = draw(fields[path])
     return data
 
 
@@ -178,3 +196,45 @@ def test_parse_config_accepts_or_raises_config_error(data):
     assert config.K % config.N == 0
     assert np.all(np.isfinite(config.rho0))
     assert np.all(np.isfinite(config.rho_target))
+
+
+# ---------------------------------------------------------------------------
+# The CLI end to end: every config ends in exit 0, 1 or 2, never a traceback
+# ---------------------------------------------------------------------------
+
+def _small_run(data):
+    """Configs that fail to parse, or that ask for at most 64 nodes per
+    interval (both field tables bound N), so that each example stays fast."""
+    try:
+        config = parse_config(data)
+    except ConfigError:
+        return True
+    return config.K <= 64 * config.N
+
+
+def _run(root, data):
+    config_path = root / "config.json"
+    config_path.write_text(json.dumps(data))
+    out = root / "out"
+    return main(["--quiet", "run", str(config_path), "--out", str(out)]), out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@PROPERTY
+@given(st.one_of(configs(), configs(PLAUSIBLE)).filter(_small_run))
+def test_run_exits_0_1_or_2_and_writes_nothing_on_failure(
+        tmp_path_factory, data):
+    code, out = _run(tmp_path_factory.mktemp("run"), data)
+    assert code in (0, 1, 2)
+    if code != 0:  # errors surface before the first write
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("K", [4 * 2 ** 60, 4 * 10 ** 12],
+                         ids=["beyond_index_range", "beyond_memory"])
+def test_huge_K_exits_1_without_outputs(tmp_path, capsys, K):
+    # K parses (a positive multiple of N); its trajectory cannot be allocated
+    code, out = _run(tmp_path, dict(copy.deepcopy(BASE_CONFIG), K=K))
+    assert code == 1
+    assert not out.exists()
+    assert "configuration error: K=" in capsys.readouterr().err

@@ -4,7 +4,7 @@ gradients of overlap objectives, and gradient projection optimizers."""
 
 from .controls import (ConstraintSet, ControlGrid, constant_grid, contains,
                        init_from_functions, l2_norm, project, sample)
-from .diagnostics import (DiagnosticsRow, aleph, compute_rows,
+from .diagnostics import (aleph, compute_rows, diagnostics_header,
                           distance_squared, entropy, petz_renyi, purity,
                           relative_entropy, smoothed_overlap_dev, uj_fidelity)
 from .dynamics import (Trajectory, min_state_eigenvalue, pairing_drift,

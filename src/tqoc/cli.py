@@ -26,53 +26,42 @@ from . import pmp
 from .config import (SCHEMA_VERSION, ExperimentConfig, load_config,
                      parse_config)
 from .controls import (ControlGrid, constant_grid, init_from_functions,
-                       project, write_controls_csv)
-from .diagnostics import aleph, compute_rows
+                       project)
+from .diagnostics import aleph, compute_rows, diagnostics_header
 from .dynamics import (forward_endpoint, propagate_adjoint,
                        propagate_forward, substep_counts,
                        zero_control_adjoint, zero_control_state)
 from .errors import ConfigError, TqocError
 from .gpm import run as run_gpm
-from .model import (SystemParams, build_system_matrices, embed_diagonal,
-                    realify)
+from .model import (DIAG_SLOTS, SystemParams, build_system_matrices,
+                    embed_diagonal, realify)
 from .objectives import (MINIMIZE_OVERLAP, ObjectiveSpec, evaluate, overlap,
                          overlap_bounds)
 from .presets import PRESETS, PRESET_NAMES, SEC4_6_CHECK
 
 
-def _write_trajectory_csv(traj, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{j}" for j in range(1, 17)]
-                        + ["rho_11", "rho_22", "rho_33", "rho_44"])
-        for t, x in zip(traj.times, traj.states):
-            row = [repr(float(t))] + [repr(float(v)) for v in x]
-            row += [repr(float(x[j])) for j in (0, 7, 12, 15)]
-            writer.writerow(row)
-
-
-def _write_diagnostics_csv(rows, alphas, path) -> None:
-    header = ["t", "overlap", "entropy", "purity", "uj_fidelity",
-              "rel_entropy"]
-    header += [f"petz_renyi_{a:g}" for a in alphas]
-    header += ["distance_sq", "smoothed_overlap_dev"]
+def _write_csv(path, header, rows) -> None:
+    """The bundle's table format: a header line, then the repr of each
+    Python scalar.  Rows are streamed, and a numpy row becomes Python
+    scalars one at a time (numpy's repr is ``np.float64(...)``)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            record = [row.t, row.overlap, row.entropy, row.purity,
-                      row.uj_fidelity, row.rel_entropy, *row.petz_renyi,
-                      row.distance_sq, row.smoothed_overlap_dev]
-            writer.writerow([repr(float(v)) for v in record])
+            if isinstance(row, np.ndarray):
+                row = row.tolist()
+            writer.writerow([repr(v) for v in row])
 
 
-def _write_iterations_csv(iterates, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "I", "J", "cauchy_count"])
-        for rec in iterates:
-            writer.writerow([rec.k, repr(rec.value), repr(rec.overlap_value),
-                             rec.cauchy_count])
+def _write_control_tables(out: Path, grid: ControlGrid, traj) -> None:
+    """controls.csv and trajectory.csv of a control and its trajectory."""
+    _write_csv(out / "controls.csv", ["t_start", "u", "n1", "n2"],
+               np.column_stack([np.arange(grid.N) * grid.dt, grid.u, grid.n1,
+                                grid.n2]))
+    _write_csv(out / "trajectory.csv", ["t"] + [f"x{j}" for j in range(1, 17)]
+               + [f"rho_{j}{j}" for j in range(1, 5)],
+               np.column_stack([traj.times, traj.states,
+                                traj.states[:, list(DIAG_SLOTS)]]))
 
 
 def _write_report_json(report: dict, path) -> None:
@@ -123,8 +112,7 @@ def run_experiment(config: ExperimentConfig, out_dir, integrator: str = "dp54",
 
     traj = propagate_forward(matrices, gpm_report.final_control, x0,
                              K=config.K, method=integrator)
-    alphas = (0.1, 0.8, 5.0)
-    diag_rows = compute_rows(traj, config.objective, alphas)
+    diag_table = compute_rows(traj, config.objective)
     aleph_value = aleph(traj)
     bounds = overlap_bounds(config.rho_target)
 
@@ -156,10 +144,11 @@ def run_experiment(config: ExperimentConfig, out_dir, integrator: str = "dp54",
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_controls_csv(gpm_report.final_control, out / "controls.csv")
-    _write_trajectory_csv(traj, out / "trajectory.csv")
-    _write_diagnostics_csv(diag_rows, alphas, out / "diagnostics.csv")
-    _write_iterations_csv(gpm_report.iterates, out / "iterations.csv")
+    _write_control_tables(out, gpm_report.final_control, traj)
+    _write_csv(out / "diagnostics.csv", diagnostics_header(), diag_table)
+    _write_csv(out / "iterations.csv", ["k", "I", "J", "cauchy_count"],
+               [(rec.k, rec.value, rec.overlap_value, rec.cauchy_count)
+                for rec in gpm_report.iterates])
     _write_report_json(report, out / "report.json")
 
     if not quiet:
@@ -226,8 +215,7 @@ def run_exact_optimality_check(out_dir, integrator: str = "dp54",
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_controls_csv(probe, out / "controls.csv")
-    _write_trajectory_csv(traj_probe, out / "trajectory.csv")
+    _write_control_tables(out, probe, traj_probe)
     _write_report_json(report, out / "report.json")
     if not quiet:
         print(f"analytic overlap {analytic!r}, numeric {numeric:.10f}, "
@@ -274,20 +262,19 @@ def _verify_gradient_fd(config, matrices):
     subs = substep_counts(matrices, grid)
     result = pmp.gradient(matrices, grid, config.objective, x0)
     delta = 1e-5
-    dt = grid.dt
     max_rel = 0.0
     max_abs_small = 0.0
-    for row, channel in enumerate(("u", "n1", "n2")):
+    samples = np.stack([grid.u, grid.n1, grid.n2])
+    for row in range(3):
         for k in range(n_fd):
             values = []
             for sign in (1.0, -1.0):
-                arrays = {name: getattr(grid, name).copy()
-                          for name in ("u", "n1", "n2")}
-                arrays[channel][k] += sign * delta
-                bumped = ControlGrid(grid.T, grid.N, **arrays)
-                x_end = forward_endpoint(matrices, bumped, x0, subs)
+                bumped = samples.copy()
+                bumped[row, k] += sign * delta
+                x_end = forward_endpoint(
+                    matrices, ControlGrid(grid.T, grid.N, *bumped), x0, subs)
                 values.append(evaluate(x_end, config.objective))
-            fd = (values[0] - values[1]) / (2.0 * delta * dt)
+            fd = (values[0] - values[1]) / (2.0 * delta * grid.dt)
             g = float(result.grad[row, k])
             if abs(g) >= 1e-7:
                 max_rel = max(max_rel, abs(fd - g) / abs(g))

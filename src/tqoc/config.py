@@ -140,8 +140,8 @@ _SAMPLING_MODES = ("midpoint", "left_endpoint")
 
 def _control_function(entry, path):
     """Returns (function of t, sampling mode or None for constants)."""
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        value = float(entry)
+    if _is_number(entry):
+        value = _to_float(entry, path)
         return (lambda t: value), None
     entry = _expect_mapping(entry, path)
     name = entry.get("function")
@@ -251,8 +251,8 @@ def parse_config(data: dict) -> ExperimentConfig:
             times = (np.arange(n_raw) + offset) * (T / n_raw)
             samples.append(np.array([float(f(t)) for t in times]))
         initial = ControlGrid(T, n_raw, *samples)
-    except (ValueError, OverflowError) as exc:
-        # non-finite samples, or a function evaluated outside its domain
+    except (ValueError, OverflowError, MemoryError) as exc:
+        # non-finite samples, a function outside its domain, or too large N
         raise ConfigError(f"initial_controls: {exc}") from exc
 
     outputs = data.get("outputs")

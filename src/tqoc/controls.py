@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -113,12 +112,3 @@ def l2_norm(values: np.ndarray, T: float) -> float:
     values = np.asarray(values, dtype=float)
     return math.sqrt(float(np.sum(values * values)) * T / values.size)
 
-
-def write_controls_csv(grid: ControlGrid, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_start", "u", "n1", "n2"])
-        dt = grid.dt
-        for k in range(grid.N):
-            writer.writerow([repr(k * dt), repr(float(grid.u[k])),
-                             repr(float(grid.n1[k])), repr(float(grid.n2[k]))])

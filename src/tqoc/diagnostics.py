@@ -3,7 +3,8 @@
 Each quantity is one array formula over a stack of density matrices, which
 is decomposed by a single LAPACK ``eigh``; the scalar functions apply it to
 a one-element stack, and :func:`compute_rows` to a trajectory in blocks of
-``NODE_BLOCK`` nodes.  Eigenvalues at or below ``EIG_CLAMP`` count as
+``NODE_BLOCK`` nodes, returning one float table whose columns are named by
+:func:`diagnostics_header`.  Eigenvalues at or below ``EIG_CLAMP`` count as
 exact zeros: numerically propagated pure states carry O(1e-10) negative
 eigenvalues.  Natural logarithms throughout.  Relative entropies are
 math.inf when the support condition fails.
@@ -12,7 +13,6 @@ math.inf when the support condition fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,22 +175,15 @@ def smoothed_overlap_dev(x: np.ndarray, spec: ObjectiveSpec) -> float:
     return smoothed_value(overlap(x, spec), spec.setpoint, spec.smoothing)
 
 
-@dataclass(frozen=True)
-class DiagnosticsRow:
-    t: float
-    overlap: float
-    entropy: float
-    purity: float
-    uj_fidelity: float
-    rel_entropy: float
-    petz_renyi: tuple
-    distance_sq: float
-    smoothed_overlap_dev: float
+def diagnostics_header(alphas=DEFAULT_RENYI_ORDERS) -> list:
+    """Column names of the :func:`compute_rows` table, in order."""
+    return (["t", "overlap", "entropy", "purity", "uj_fidelity", "rel_entropy"]
+            + [f"petz_renyi_{a:g}" for a in alphas]
+            + ["distance_sq", "smoothed_overlap_dev"])
 
 
 def _block_columns(states, spec, sqrt_sigma, eig_sigma, alphas) -> np.ndarray:
-    """Columns overlap, entropy, purity, fidelity, relative entropy,
-    distance and the Petz-Renyi orders, one row per node of the block."""
+    """Header columns overlap to distance_sq, one row per node of the block."""
     rho = derealify(states)
     eig_rho = _density_eigen(rho)
     w1, w2 = eig_rho.eigenvalues, eig_sigma.eigenvalues
@@ -201,33 +194,29 @@ def _block_columns(states, spec, sqrt_sigma, eig_sigma, alphas) -> np.ndarray:
         _purities(rho),
         _uj_fidelities(eig_rho, sqrt_sigma),
         _rel_entropies(w1, w2, overlaps),
-        _distances_sq(states, spec.target),
         *(_petz_renyis(w1, w2, overlaps, a) for a in alphas),
+        _distances_sq(states, spec.target),
     ])
 
 
 def compute_rows(traj: Trajectory, spec: ObjectiveSpec,
-                 alphas=DEFAULT_RENYI_ORDERS) -> list:
+                 alphas=DEFAULT_RENYI_ORDERS) -> np.ndarray:
     """Diagnostics at every trajectory node against the objective's target.
 
-    Nodes go through in blocks of ``NODE_BLOCK``; a block costs one
-    eigendecomposition of its states and one of its fidelity dilations.
+    One row per node with the columns of ``diagnostics_header(alphas)``;
+    ``smoothed_overlap_dev`` is NaN without a setpoint.  Each block of
+    ``NODE_BLOCK`` nodes costs one eigendecomposition of its states and one
+    of its fidelity dilations.
     """
     eig_sigma = _checked(derealify(spec.target))[1]
     sqrt_sigma = _sqrt_psd(eig_sigma)
-    steer = spec.setpoint is not None
-    rows = []
+    table = np.full((len(traj.states), 8 + len(alphas)), math.nan)
+    table[:, 0] = traj.times
     for i in range(0, len(traj.states), NODE_BLOCK):
         block = slice(i, i + NODE_BLOCK)
-        columns = _block_columns(traj.states[block], spec, sqrt_sigma,
-                                 eig_sigma, alphas)
-        for t, (f, s, p, fid, rel, dist, *petz) in zip(
-                traj.times[block].tolist(), columns.tolist()):
-            rows.append(DiagnosticsRow(
-                t=t, overlap=f, entropy=s, purity=p, uj_fidelity=fid,
-                rel_entropy=rel, petz_renyi=tuple(petz), distance_sq=dist,
-                smoothed_overlap_dev=(
-                    smoothed_value(f, spec.setpoint, spec.smoothing)
-                    if steer else math.nan),
-            ))
-    return rows
+        table[block, 1:-1] = _block_columns(traj.states[block], spec,
+                                            sqrt_sigma, eig_sigma, alphas)
+    if spec.setpoint is not None:
+        table[:, -1] = [smoothed_value(f, spec.setpoint, spec.smoothing)
+                        for f in table[:, 1].tolist()]
+    return table

@@ -223,8 +223,6 @@ def pmp_zero_control_condition(cfg: PmpCaseConfig) -> bool:
     """True iff zero controls satisfy the maximization conditions for cfg."""
     b = cfg.target_diag
     tol = cfg.eq_tol
-    if abs(sum(b) - 1.0) > max(tol, 1e-9):
-        return False
     if cfg.rho0_kind == PURE_GROUND:
         if cfg.sense == 1:
             return _pure_condition_max(b, tol)

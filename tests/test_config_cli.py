@@ -1,12 +1,17 @@
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
+from tqoc import cli
 from tqoc.cli import main, run_exact_optimality_check, run_experiment
 from tqoc.config import load_config, parse_config
+from tqoc.controls import constant_grid
+from tqoc.dynamics import propagate_forward
 from tqoc.errors import ConfigError
+from tqoc.model import embed_diagonal
 from tqoc.presets import PRESETS, PRESET_NAMES
 
 
@@ -205,6 +210,113 @@ def test_diagnostics_render_infinite_entropies(tmp_path):
     assert "inf" in text
 
 
+# ---------------------------------------------------------------------------
+# the bundle's CSV files against per-row writers, one per file, as the
+# reference for the shared table writer
+# ---------------------------------------------------------------------------
+
+def oracle_controls_csv(grid, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t_start", "u", "n1", "n2"])
+        dt = grid.dt
+        for k in range(grid.N):
+            writer.writerow([repr(k * dt), repr(float(grid.u[k])),
+                             repr(float(grid.n1[k])), repr(float(grid.n2[k]))])
+
+
+def oracle_trajectory_csv(traj, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"x{j}" for j in range(1, 17)]
+                        + ["rho_11", "rho_22", "rho_33", "rho_44"])
+        for t, x in zip(traj.times, traj.states):
+            row = [repr(float(t))] + [repr(float(v)) for v in x]
+            row += [repr(float(x[j])) for j in (0, 7, 12, 15)]
+            writer.writerow(row)
+
+
+def oracle_diagnostics_csv(times, table, alphas, path):
+    header = ["t", "overlap", "entropy", "purity", "uj_fidelity",
+              "rel_entropy"]
+    header += [f"petz_renyi_{a:g}" for a in alphas]
+    header += ["distance_sq", "smoothed_overlap_dev"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for t, (_, *values) in zip(times, table):
+            writer.writerow([repr(float(v)) for v in (t, *values)])
+
+
+def oracle_iterations_csv(iterates, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "I", "J", "cauchy_count"])
+        for rec in iterates:
+            writer.writerow([rec.k, repr(rec.value), repr(rec.overlap_value),
+                             rec.cauchy_count])
+
+
+def capture(monkeypatch, name):
+    """Replace cli.<name> by a wrapper that records each result."""
+    results = []
+    fn = getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, name, spy)
+    return results
+
+
+@pytest.mark.parametrize("overrides, steering", [
+    # inf relative entropies, NaN deviation column
+    ({"rho_target": [1.0, 0.0, 0.0, 0.0],
+      "objective": {"kind": "maximize_overlap", "upper_bound": 1.0}}, False),
+    ({"objective": {"kind": "smoothed_deviation", "setpoint": 0.3,
+                    "smoothing": 1e-4}, "K": 20}, True),
+], ids=["pure_target", "steering"])
+def test_bundle_csvs_match_per_row_writers(tmp_path, monkeypatch, overrides,
+                                           steering):
+    runs = capture(monkeypatch, "run_gpm")
+    trajectories = capture(monkeypatch, "propagate_forward")
+    tables = capture(monkeypatch, "compute_rows")
+    out, oracle = tmp_path / "bundle", tmp_path / "oracle"
+    run_experiment(parse_config(tiny_config(**overrides)), out, quiet=True)
+    (report,), (traj,), (table,) = runs, trajectories, tables
+    oracle.mkdir()
+    oracle_controls_csv(report.final_control, oracle / "controls.csv")
+    oracle_trajectory_csv(traj, oracle / "trajectory.csv")
+    oracle_diagnostics_csv(traj.times, table, (0.1, 0.8, 5.0),
+                           oracle / "diagnostics.csv")
+    oracle_iterations_csv(report.iterates, oracle / "iterations.csv")
+    for name in ("controls.csv", "trajectory.csv", "diagnostics.csv",
+                 "iterations.csv"):
+        assert (out / name).read_bytes() == (oracle / name).read_bytes()
+    with open(out / "diagnostics.csv") as fh:
+        cells = list(csv.reader(fh))[1:]
+    assert len(cells) == (21 if steering else 11)
+    deviations = [float(row[-1]) for row in cells]
+    if steering:
+        assert all(math.isfinite(v) for v in deviations)
+    else:
+        assert all(math.isnan(v) for v in deviations)
+        assert any(cell == "inf" for row in cells for cell in row)
+
+
+def test_controls_csv(tmp_path, matrices):
+    grid = constant_grid(2.0, 4, u=0.5, n1=1.0, n2=0.0)
+    traj = propagate_forward(matrices, grid, embed_diagonal((0.25,) * 4))
+    cli._write_control_tables(tmp_path, grid, traj)
+    with open(tmp_path / "controls.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t_start", "u", "n1", "n2"]
+    assert len(rows) == 5
+    assert [float(v) for v in rows[1]] == [0.0, 0.5, 1.0, 0.0]
+    assert float(rows[4][0]) == pytest.approx(1.5)
+
+
 def test_exact_optimality_preset(tmp_path):
     report = run_exact_optimality_check(tmp_path / "check", quiet=True)
     checks = report["checks"]
@@ -270,13 +382,14 @@ def test_verify_command(tmp_path):
     {"system": {"interaction": [[0.0, 1.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4,
                                 [0.0] * 4]}},
     {"T": 10 ** 400},
+    {"initial_controls": {"u": 10 ** 400, "n1": 1.0, "n2": 1.0}},
     {"rho0": [math.nan, 0.5, 0.25, 0.25]},
     {"rho_target": [[0.7, [0.0, math.nan], 0.0, 0.0],
                     [[0.0, math.nan], 0.1, 0.0, 0.0],
                     [0.0, 0.0, 0.1, 0.0], [0.0, 0.0, 0.0, 0.1]]},
 ], ids=["K_zero", "K_negative", "T_infinite", "control_infinite",
         "control_argument_overflow", "interaction_not_hermitian",
-        "T_integer_overflow",
+        "T_integer_overflow", "control_integer_overflow",
         "rho0_nan", "rho_target_nan"])
 def test_invalid_config_exits_1_without_outputs(tmp_path, overrides):
     with pytest.raises(ConfigError):

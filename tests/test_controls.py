@@ -1,12 +1,10 @@
-import csv
 import math
 
 import numpy as np
 import pytest
 
-from tqoc.controls import (ConstraintSet, ControlGrid, constant_grid,
-                           contains, init_from_functions, l2_norm, project,
-                           sample, write_controls_csv)
+from tqoc.controls import (ConstraintSet, ControlGrid, contains,
+                           init_from_functions, l2_norm, project, sample)
 from tqoc.errors import OutOfRangeError
 
 
@@ -90,14 +88,3 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         ControlGrid(1.0, 2, [np.nan, 0], [0, 0], [0, 0])
 
-
-def test_controls_csv(tmp_path):
-    grid = constant_grid(2.0, 4, u=0.5, n1=1.0, n2=0.0)
-    path = tmp_path / "controls.csv"
-    write_controls_csv(grid, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t_start", "u", "n1", "n2"]
-    assert len(rows) == 5
-    assert [float(v) for v in rows[1]] == [0.0, 0.5, 1.0, 0.0]
-    assert float(rows[4][0]) == pytest.approx(1.5)

@@ -7,9 +7,10 @@ import scipy.linalg
 from conftest import random_density
 from tqoc import diagnostics
 from tqoc.controls import ControlGrid, constant_grid
-from tqoc.diagnostics import (aleph, compute_rows, distance_squared, entropy,
-                              petz_renyi, purity, relative_entropy,
-                              smoothed_overlap_dev, uj_fidelity)
+from tqoc.diagnostics import (aleph, compute_rows, diagnostics_header,
+                              distance_squared, entropy, petz_renyi, purity,
+                              relative_entropy, smoothed_overlap_dev,
+                              uj_fidelity)
 from tqoc.dynamics import Trajectory, propagate_forward
 from tqoc.errors import BadAlphaError, NotDensityMatrixError
 from tqoc.model import derealify, embed_diagonal, realify
@@ -23,6 +24,21 @@ def diag_rho(*populations):
 def random_full_rank(rng):
     rho = random_density(rng)
     return 0.9 * rho + 0.1 * np.eye(4) / 4.0
+
+
+ALPHAS = (0.1, 0.8, 5.0)
+PETZ = [f"petz_renyi_{a:g}" for a in ALPHAS]
+
+
+def named_rows(table):
+    """Rows of a compute_rows table as dicts keyed by header name."""
+    header = diagnostics_header(ALPHAS)
+    return [dict(zip(header, row)) for row in table.tolist()]
+
+
+def row_values(row):
+    """A named row's columns after t, in header order."""
+    return [row[name] for name in diagnostics_header(ALPHAS)[1:]]
 
 
 def test_entropy_reference_values():
@@ -177,23 +193,20 @@ def test_compute_rows_ranges(matrices):
                        rng.uniform(0, 2, 10))
     traj = propagate_forward(matrices, grid, embed_diagonal((0.25,) * 4))
     spec = ObjectiveSpec(MINIMIZE_OVERLAP, embed_diagonal((0.7, 0.1, 0.1, 0.1)))
-    rows = compute_rows(traj, spec)
+    rows = named_rows(compute_rows(traj, spec))
     assert len(rows) == traj.times.size
     for row in rows:
-        assert 0.0 <= row.entropy <= math.log(4.0) + 1e-9
-        assert 0.25 - 1e-9 <= row.purity <= 1.0 + 1e-9
-        assert 0.0 <= row.uj_fidelity <= 1.0 + 1e-9
-        assert row.rel_entropy >= -1e-9
-        assert all(v >= -1e-9 for v in row.petz_renyi)
-        assert math.isnan(row.smoothed_overlap_dev)
+        assert 0.0 <= row["entropy"] <= math.log(4.0) + 1e-9
+        assert 0.25 - 1e-9 <= row["purity"] <= 1.0 + 1e-9
+        assert 0.0 <= row["uj_fidelity"] <= 1.0 + 1e-9
+        assert row["rel_entropy"] >= -1e-9
+        assert all(row[name] >= -1e-9 for name in PETZ)
+        assert math.isnan(row["smoothed_overlap_dev"])
 
 
 # ---------------------------------------------------------------------------
 # compute_rows against an independent scipy.linalg oracle
 # ---------------------------------------------------------------------------
-
-ALPHAS = (0.1, 0.8, 5.0)
-
 
 def oracle_row(x, spec):
     """Every diagnostics column from scipy matrix functions, one node."""
@@ -216,12 +229,6 @@ def oracle_row(x, spec):
             abs(overlap - spec.setpoint)]
 
 
-def row_values(row):
-    return [row.overlap, row.entropy, row.purity, row.uj_fidelity,
-            row.rel_entropy, *row.petz_renyi, row.distance_sq,
-            row.smoothed_overlap_dev]
-
-
 def test_compute_rows_matches_scipy_oracle(monkeypatch):
     rng = np.random.default_rng(52)
     states = [realify(random_full_rank(rng)) for _ in range(19)]
@@ -231,19 +238,19 @@ def test_compute_rows_matches_scipy_oracle(monkeypatch):
                          setpoint=0.5, smoothing=1e-6)
     # small blocks, so that the trajectory spans several and a ragged last one
     monkeypatch.setattr(diagnostics, "NODE_BLOCK", 8)
-    rows = compute_rows(traj, spec, ALPHAS)
-    assert [row.t for row in rows] == traj.times.tolist()
+    rows = named_rows(compute_rows(traj, spec, ALPHAS))
+    assert [row["t"] for row in rows] == traj.times.tolist()
     for x, row in zip(traj.states, rows):
         assert np.allclose(row_values(row), oracle_row(x, spec), rtol=1e-9,
                            atol=1e-9)
     # the I/4 row in closed form
     w = np.linalg.eigvalsh(derealify(spec.target))
     quarter = rows[9]
-    assert quarter.entropy == pytest.approx(math.log(4.0), abs=1e-12)
-    assert quarter.purity == pytest.approx(0.25, abs=1e-15)
-    assert quarter.uj_fidelity == pytest.approx(
+    assert quarter["entropy"] == pytest.approx(math.log(4.0), abs=1e-12)
+    assert quarter["purity"] == pytest.approx(0.25, abs=1e-15)
+    assert quarter["uj_fidelity"] == pytest.approx(
         float(np.sum(np.sqrt(w / 4.0)) ** 2), abs=1e-12)
-    assert quarter.rel_entropy == pytest.approx(
+    assert quarter["rel_entropy"] == pytest.approx(
         -math.log(4.0) - float(np.mean(np.log(w))), abs=1e-12)
 
 
@@ -255,9 +262,9 @@ def test_compute_rows_blocking_does_not_change_values(monkeypatch, matrices):
                              K=600)
     spec = ObjectiveSpec(SMOOTHED_DEVIATION, realify(random_full_rank(rng)),
                          setpoint=0.5)
-    blocked = [row_values(r) for r in compute_rows(traj, spec)]
+    blocked = [row_values(r) for r in named_rows(compute_rows(traj, spec))]
     monkeypatch.setattr(diagnostics, "NODE_BLOCK", traj.times.size)
-    whole = [row_values(r) for r in compute_rows(traj, spec)]
+    whole = [row_values(r) for r in named_rows(compute_rows(traj, spec))]
     assert np.allclose(blocked, whole, rtol=1e-14, atol=0.0)
 
 
@@ -272,7 +279,8 @@ def test_uj_fidelity_full_precision_against_pure_target(matrices):
     spec = ObjectiveSpec(MINIMIZE_OVERLAP, embed_diagonal((1, 0, 0, 0)))
     exact = traj.states[:, 0]
     assert np.min(np.linalg.eigvalsh(derealify(traj.states))) > 1e-3
-    fidelity = np.array([row.uj_fidelity for row in compute_rows(traj, spec)])
+    fidelity = np.array([row["uj_fidelity"]
+                         for row in named_rows(compute_rows(traj, spec))])
     assert np.max(np.abs(fidelity - exact) / exact) <= 1e-13
     for x in traj.states[::50]:
         assert uj_fidelity(derealify(x), diag_rho(1, 0, 0, 0)) \
@@ -288,9 +296,9 @@ def test_compute_rows_pure_target_support_pattern(monkeypatch):
     target = embed_diagonal((1, 0, 0, 0))
     spec = ObjectiveSpec(MINIMIZE_OVERLAP, target)
     monkeypatch.setattr(diagnostics, "NODE_BLOCK", 4)
-    rows = compute_rows(traj, spec, ALPHAS)
+    rows = named_rows(compute_rows(traj, spec, ALPHAS))
     # supp(rho) inside supp(sigma) only for the pure node equal to the target
-    pattern = [[math.isinf(v) for v in (r.rel_entropy, *r.petz_renyi)]
+    pattern = [[math.isinf(r[name]) for name in ("rel_entropy", *PETZ)]
                for r in rows]
     full, equal, mixed, orthogonal = ([True, False, False, True],
                                       [False] * 4,
@@ -300,8 +308,9 @@ def test_compute_rows_pure_target_support_pattern(monkeypatch):
     for x, row in zip(traj.states, rows):
         rho = derealify(x)
         # F(rho, |0><0|) = <0|rho|0>
-        assert row.uj_fidelity == pytest.approx(rho[0, 0].real, abs=1e-7)
-        for a, value in zip(ALPHAS, row.petz_renyi):
+        assert row["uj_fidelity"] == pytest.approx(rho[0, 0].real, abs=1e-7)
+        for a, name in zip(ALPHAS, PETZ):
+            value = row[name]
             if a < 1.0 and rho[0, 0].real > 0.0:
                 power = scipy.linalg.fractional_matrix_power(rho, a)[0, 0]
                 assert value == pytest.approx(

@@ -230,11 +230,19 @@ def test_run_exits_0_1_or_2_and_writes_nothing_on_failure(
         assert not out.exists()
 
 
-@pytest.mark.parametrize("K", [4 * 2 ** 60, 4 * 10 ** 12],
-                         ids=["beyond_index_range", "beyond_memory"])
-def test_huge_K_exits_1_without_outputs(tmp_path, capsys, K):
-    # K parses (a positive multiple of N); its trajectory cannot be allocated
-    code, out = _run(tmp_path, dict(copy.deepcopy(BASE_CONFIG), K=K))
+@pytest.mark.parametrize("sizes, message", [
+    ({"K": 4 * 2 ** 60}, "K="),
+    ({"K": 4 * 10 ** 12}, "K="),
+    ({"N": 4 * 2 ** 60, "K": 4 * 2 ** 60}, "initial_controls:"),
+    # N int64 sample points need 320 TB, beyond a 47-bit address space, so
+    # the allocation fails under any overcommit policy
+    ({"N": 4 * 10 ** 13, "K": 4 * 10 ** 13}, "initial_controls:"),
+], ids=["beyond_index_range", "beyond_memory", "N_beyond_index_range",
+        "N_beyond_memory"])
+def test_huge_K_exits_1_without_outputs(tmp_path, capsys, sizes, message):
+    # K and N parse (K a positive multiple of N), but the trajectory or the
+    # N control samples cannot be allocated
+    code, out = _run(tmp_path, dict(copy.deepcopy(BASE_CONFIG), **sizes))
     assert code == 1
     assert not out.exists()
-    assert "configuration error: K=" in capsys.readouterr().err
+    assert f"configuration error: {message}" in capsys.readouterr().err

@@ -3,14 +3,15 @@
 On each control interval the generator G = A + B_u u + B_n1 n1 + B_n2 n2 is
 constant, so a Runge-Kutta step is a fixed polynomial in z = h G.  One
 kernel serves every caller, with no adaptive step control: batched Horner
-step maps, interval propagators R^subs[k] by batched binary powering, and
-a serial chain.  On the optimizer path (Dormand-Prince 5(4)) only the
-forward pass builds a control's step maps and propagators, and the adjoint
-pass reuses them; every sub-node sits in one (N, max(subs) + 1, 16) array
-that also supplies matched quadrature nodes.  Post-run propagation on
-K = sub * N nodes applies one propagator per node span sub times,
-NODE_BLOCK intervals at a time; its ``rk4`` mode is classical RK4, a
-coarse cross-check.
+step maps and interval propagators R^subs[k] by batched binary powering,
+both built once per distinct (u, n1, n2, subs) row and expanded to the
+intervals, then a serial chain.  On the optimizer path (Dormand-Prince
+5(4)) only the forward pass builds a control's step maps and propagators,
+and the adjoint pass reuses them; every sub-node sits in one
+(N, max(subs) + 1, 16) array that also supplies matched quadrature nodes.
+Post-run propagation on K = sub * N nodes applies one propagator per node
+span sub times, NODE_BLOCK intervals at a time; its ``rk4`` mode is
+classical RK4, a coarse cross-check.
 """
 
 from __future__ import annotations
@@ -79,30 +80,25 @@ def _horner(z: np.ndarray, divisors) -> np.ndarray:
     return acc
 
 
-def _scaled_generators(m: SystemMatrices, grid: ControlGrid,
-                       h: np.ndarray) -> np.ndarray:
-    """z_k = h_k G_k for every interval; shape (N, 16, 16)."""
-    coeffs = np.stack([h, h * grid.u, h * grid.n1, h * grid.n2], axis=1)
-    basis = np.stack([m.A, m.B_u, m.B_n1, m.B_n2]).reshape(4, -1)
-    return (coeffs @ basis).reshape(grid.N, 16, 16)
-
-
-def interval_step_matrices(m: SystemMatrices, grid: ControlGrid,
-                           subs: np.ndarray) -> np.ndarray:
-    """Dormand-Prince 5(4) substep maps R(h G), h = dt / subs, batched;
-    shape (N, 16, 16).  Five batched products in Horner form.
+def interval_step_matrices(m: SystemMatrices, h: np.ndarray, u: np.ndarray,
+                           n1: np.ndarray, n2: np.ndarray,
+                           divisors=_DP5_DIVISORS) -> np.ndarray:
+    """Step maps R(h G) for step sizes h and control samples (u, n1, n2),
+    batched; shape (len(h), 16, 16).  Dormand-Prince 5(4) by default: five
+    batched products in Horner form.  The one step-map builder: ``_kernel``
+    calls it once per solve or block, on the distinct interval rows.
 
     The adjoint pass reuses these transposed, since R(hG)^T = R(hG^T).
     """
-    h = grid.dt / np.asarray(subs, dtype=float)
-    return _horner(_scaled_generators(m, grid, h), _DP5_DIVISORS)
+    coeffs = np.stack([h, h * u, h * n1, h * n2], axis=1)
+    basis = np.stack([m.A, m.B_u, m.B_n1, m.B_n2]).reshape(4, -1)
+    return _horner((coeffs @ basis).reshape(len(h), 16, 16), divisors)
 
 
 def substep_counts(m: SystemMatrices, grid: ControlGrid,
                    limit: int = _SUBSTEP_MAX) -> np.ndarray:
     """Even substep count per interval from a generator-norm bound, <= limit."""
-    norm = lambda a: float(np.max(np.sum(np.abs(a), axis=1)))
-    na, nu, n1, n2 = norm(m.A), norm(m.B_u), norm(m.B_n1), norm(m.B_n2)
+    na, nu, n1, n2 = m.norms
     scale = (na + np.abs(grid.u) * nu + np.abs(grid.n1) * n1
              + np.abs(grid.n2) * n2)
     raw = np.ceil(grid.dt * scale / (2.0 * _SUBSTEP_SCALE))
@@ -133,24 +129,55 @@ def _interval_propagators(steps: np.ndarray, subs: np.ndarray) -> np.ndarray:
         base = base @ base
 
 
+def _distinct_rows(grid: ControlGrid, subs: np.ndarray):
+    """First and inverse indices of the distinct (u, n1, n2, subs) interval
+    rows.  Rows match by bit pattern, so 0.0 and -0.0 stay apart.  A function
+    of its own so the key table is freed before the maps are built: held
+    across the build, it raised peak RSS by about 1 MB on small grids."""
+    keys = np.stack([grid.u, grid.n1, grid.n2, subs.astype(float)], axis=1)
+    rows = keys.view(np.dtype((np.void, keys.itemsize * 4))).ravel()
+    return np.unique(rows, return_index=True, return_inverse=True)[1:]
+
+
+def _kernel(m: SystemMatrices, grid: ControlGrid, subs: np.ndarray,
+            divisors=_DP5_DIVISORS) -> tuple[np.ndarray, np.ndarray]:
+    """Step maps and propagators of every interval, (N, 16, 16) each, built
+    and powered once per distinct interval row, then expanded.
+
+    h is grid.dt / subs: a grid rebuilt on the distinct rows could differ
+    in dt's last bit.
+    """
+    subs = np.asarray(subs)
+    first, inverse = _distinct_rows(grid, subs)
+    if len(first) == grid.N:  # nothing repeats: no gather, no second copy
+        first, inverse = slice(None), None
+    steps = interval_step_matrices(m, grid.dt / subs[first], grid.u[first],
+                                   grid.n1[first], grid.n2[first], divisors)
+    props = _interval_propagators(steps, subs[first])
+    if inverse is not None:
+        steps, props = steps[inverse], props[inverse]
+    return steps, props
+
+
 def _forward_chain(props: np.ndarray, x0: np.ndarray,
                    reps: int = 1) -> np.ndarray:
     """x_{i+1} = P x_i, each P_k applied reps times in turn."""
     out = np.empty((reps * len(props) + 1, 16))
     out[0] = x0
-    for i in range(len(out) - 1):
-        out[i + 1] = props[i // reps] @ out[i]
+    rows, maps = list(out), [p for p in props for _ in range(reps)]
+    for p, x, y in zip(maps, rows, rows[1:]):
+        np.dot(p, x, out=y)
     return out
 
 
 def _adjoint_chain(props: np.ndarray, p_terminal: np.ndarray,
                    reps: int = 1) -> np.ndarray:
     """q_i = q_{i+1} P backward from the last node, stored t-ascending."""
-    n = reps * len(props)
-    out = np.empty((n + 1, 16))
-    out[n] = p_terminal
-    for i in range(n - 1, -1, -1):
-        out[i] = out[i + 1] @ props[i // reps]
+    out = np.empty((reps * len(props) + 1, 16))
+    out[-1] = p_terminal
+    rows, maps = list(out), [p for p in props for _ in range(reps)]
+    for p, q, y in zip(maps[::-1], rows[::-1], rows[-2::-1]):
+        np.dot(q, p, out=y)
     return out
 
 
@@ -162,7 +189,9 @@ class SubnodeStates:
     i of interval k: row 0 sits on the breakpoint t_k and row subs[k] on
     t_{k+1}.  Rows past subs[k] repeat the interval's end state, so
     ``states[k, -1]`` is the same vector as ``states[k + 1, 0]``.  ``steps``
-    and ``props`` are the control's step maps and propagators, (N, 16, 16).
+    and ``props`` are the control's step maps and propagators, (N, 16, 16),
+    built once per distinct (u, n1, n2, subs) row: repeated rows hold equal
+    copies.
     """
 
     grid: ControlGrid
@@ -184,14 +213,14 @@ def forward_subnodes(m: SystemMatrices, grid: ControlGrid, x0: np.ndarray,
                      subs: np.ndarray) -> SubnodeStates:
     """Forward pass on the fixed sub-grid; the one builder of the kernel.
 
-    Step maps and propagators are built once per control and kept for
-    ``adjoint_subnodes``.  The propagator chain gives the breakpoints and
-    batched substeps fill the sub-nodes.  ``subs`` stays 4th, as in the
-    other entry points, because perfbench/tracer.py counts substeps there.
+    Step maps and propagators are built once per control, one per distinct
+    interval row, and kept for ``adjoint_subnodes``.  The propagator chain
+    gives the breakpoints and batched substeps fill the sub-nodes.  ``subs``
+    stays 4th, as in the other entry points, because perfbench/tracer.py
+    counts substeps there.
     """
     subs = np.asarray(subs)
-    steps = interval_step_matrices(m, grid, subs)
-    props = _interval_propagators(steps, subs)
+    steps, props = _kernel(m, grid, subs)
     ends = _forward_chain(props, np.asarray(x0, dtype=float))
     smax = int(subs.max())
     states = np.empty((grid.N, smax + 1, 16))
@@ -210,14 +239,15 @@ def adjoint_subnodes(m: SystemMatrices, grid: ControlGrid, p_terminal: np.ndarra
     subs = np.asarray(subs)
     ends = _adjoint_chain(fwd.props, np.asarray(p_terminal, dtype=float))
     smax = int(subs.max())
-    # back[k, j] is the adjoint j substeps before t_{k+1}; sub-node i of
-    # interval k is back[k, subs[k] - i], except row 0, which is the chain's.
-    back = np.empty((grid.N, smax, 16))
-    back[:, 0] = ends[1:]
+    # back is the adjoint j substeps before t_{k+1}, sub-node subs[k] - j of
+    # interval k; rows from subs[k] on keep the end state, row 0 the chain's.
+    states = np.empty((grid.N, smax + 1, 16))
+    states[:] = ends[1:, None, :]
+    back = ends[1:]
     for j in range(1, smax):
-        back[:, j] = np.einsum("kji,kj->ki", fwd.steps, back[:, j - 1])
-    lag = np.clip(subs[:, None] - np.arange(smax + 1), 0, smax - 1)
-    states = np.take_along_axis(back, lag[:, :, None], axis=1)
+        back = np.einsum("kji,kj->ki", fwd.steps, back)
+        rows = np.flatnonzero(subs > j)
+        states[rows, subs[rows] - j] = back[rows]
     states[:, 0] = ends[:-1]
     return SubnodeStates(grid, subs, states, fwd.steps, fwd.props)
 
@@ -225,7 +255,7 @@ def adjoint_subnodes(m: SystemMatrices, grid: ControlGrid, p_terminal: np.ndarra
 def forward_endpoint(m: SystemMatrices, grid: ControlGrid, x0: np.ndarray,
                      subs: np.ndarray) -> np.ndarray:
     """Final state only, on the same fixed sub-grid discretization."""
-    props = _interval_propagators(interval_step_matrices(m, grid, subs), subs)
+    props = _kernel(m, grid, subs)[1]
     return _forward_chain(props, np.asarray(x0, dtype=float))[-1]
 
 
@@ -275,12 +305,11 @@ def _propagate(m, grid, start, K, method, adjoint):
             # twice the optimizer's count: one more squaring per block cuts
             # the truncation error about 32-fold
             subs = 2 * substep_counts(m, block, _PROPAGATE_SUBSTEP_MAX)
-            steps = interval_step_matrices(m, block, subs)
+            divisors = _DP5_DIVISORS
         else:
             subs = np.full(block.N, max(1, math.ceil(4 / sub)))
-            steps = _horner(_scaled_generators(m, block, block.dt / subs),
-                            _TAYLOR4_DIVISORS)
-        props = _interval_propagators(steps, subs)
+            divisors = _TAYLOR4_DIVISORS
+        props = _kernel(m, block, subs, divisors)[1]
         if adjoint:
             chain = _adjoint_chain(props, x, reps=sub)
             x = chain[0]

@@ -10,7 +10,7 @@ x' = (A + B_u u + B_n1 n1 + B_n2 n2) x with constant real 16x16 matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -171,12 +171,19 @@ def lindblad_rhs(rho: np.ndarray, u: float, n1: float, n2: float,
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """Realified generator pieces: x' = (A + B_u u + B_n1 n1 + B_n2 n2) x."""
+    """Realified generator pieces: x' = (A + B_u u + B_n1 n1 + B_n2 n2) x,
+    with their max-row-sum ``norms`` for ``dynamics.substep_counts``."""
 
     A: np.ndarray
     B_u: np.ndarray
     B_n1: np.ndarray
     B_n2: np.ndarray
+    norms: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        norms = tuple(float(np.max(np.sum(np.abs(a), axis=1)))
+                      for a in (self.A, self.B_u, self.B_n1, self.B_n2))
+        object.__setattr__(self, "norms", norms)
 
     def generator(self, u: float, n1: float, n2: float) -> np.ndarray:
         return self.A + u * self.B_u + n1 * self.B_n1 + n2 * self.B_n2

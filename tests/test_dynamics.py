@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_density
+from conftest import grid_step_maps, random_density
 
 from tqoc import dynamics
 from tqoc.controls import ControlGrid, constant_grid
 from tqoc.dynamics import (Trajectory, adjoint_subnodes, forward_endpoint,
-                           forward_subnodes, interval_step_matrices,
-                           min_state_eigenvalue, pairing_drift,
-                           propagate_adjoint, propagate_forward,
+                           forward_subnodes, min_state_eigenvalue,
+                           pairing_drift, propagate_adjoint, propagate_forward,
                            substep_counts, trace_drift, zero_control_adjoint,
                            zero_control_state)
 from tqoc.errors import BadTraceError, GridMismatchError
@@ -388,7 +387,7 @@ def test_subnode_kernel_matches_per_substep_loops(matrices, n):
     grid, subs = _ragged_case(rng, n)
     x0 = embed_diagonal((0.4, 0.3, 0.2, 0.1))
     p_terminal = rng.normal(size=16)
-    steps = interval_step_matrices(matrices, grid, subs)
+    steps = grid_step_maps(matrices, grid, subs)
     fwd = forward_subnodes(matrices, grid, x0, subs)
     adj = adjoint_subnodes(matrices, grid, p_terminal, subs, fwd)
     ref_fwd = reference_forward_blocks(steps, subs, x0)
@@ -420,10 +419,10 @@ def test_horner_step_maps_match_stage_form(matrices):
     gens = np.array([matrices.generator(grid.u[k], grid.n1[k], grid.n2[k])
                      for k in range(grid.N)])
     h = grid.dt / subs
-    batched = interval_step_matrices(matrices, grid, subs)
+    batched = grid_step_maps(matrices, grid, subs)
     assert np.max(np.abs(batched - dp54_step_matrix(gens, h))) <= 1e-15
     single = ControlGrid(grid.dt, 1, grid.u[:1], grid.n1[:1], grid.n2[:1])
-    one = interval_step_matrices(matrices, single, subs[:1])[0]
+    one = grid_step_maps(matrices, single, subs[:1])[0]
     assert np.max(np.abs(one - dp54_step_matrix(gens[0], h[0]))) <= 1e-15
 
 
@@ -435,8 +434,182 @@ def test_step_map_local_error_is_sixth_order(matrices):
     for hg in (0.5, 0.25):
         h = hg / norm
         grid = ControlGrid(h, 1, [0.7], [1.2], [0.4])
-        step = interval_step_matrices(matrices, grid, np.array([1]))[0]
+        step = grid_step_maps(matrices, grid, np.array([1]))[0]
         err = float(np.linalg.norm(step - scipy.linalg.expm(h * g), 2))
         assert err <= hg ** 6 / 600
         errors.append(err)
     assert 32.0 < errors[0] / errors[1] < 128.0
+
+
+# ---------------------------------------------------------------------------
+# Distinct-row kernel against the per-interval build, bit for bit
+# ---------------------------------------------------------------------------
+
+def per_interval_kernel(m, grid, subs, divisors=dynamics._DP5_DIVISORS):
+    """One step map per interval and every interval powered: the build the
+    distinct-row kernel must reproduce exactly."""
+    h = grid.dt / np.asarray(subs, dtype=float)
+    coeffs = np.stack([h, h * grid.u, h * grid.n1, h * grid.n2], axis=1)
+    basis = np.stack([m.A, m.B_u, m.B_n1, m.B_n2]).reshape(4, -1)
+    steps = dynamics._horner((coeffs @ basis).reshape(grid.N, 16, 16),
+                             divisors)
+    return steps, dynamics._interval_propagators(steps, subs)
+
+
+def indexed_forward_chain(props, x0, reps=1):
+    out = np.empty((reps * len(props) + 1, 16))
+    out[0] = x0
+    for i in range(len(out) - 1):
+        out[i + 1] = props[i // reps] @ out[i]
+    return out
+
+
+def indexed_adjoint_chain(props, p_terminal, reps=1):
+    n = reps * len(props)
+    out = np.empty((n + 1, 16))
+    out[n] = p_terminal
+    for i in range(n - 1, -1, -1):
+        out[i] = out[i + 1] @ props[i // reps]
+    return out
+
+
+def per_interval_subnodes(m, grid, x0, p_terminal, subs):
+    """(steps, props, forward states, adjoint states) from the per-interval
+    build, indexed chains and a gathered adjoint fill."""
+    steps, props = per_interval_kernel(m, grid, subs)
+    smax = int(subs.max())
+    ends = indexed_forward_chain(props, x0)
+    fwd = np.empty((grid.N, smax + 1, 16))
+    fwd[:, 0] = ends[:-1]
+    for i in range(1, smax):
+        fwd[:, i] = np.einsum("kij,kj->ki", steps, fwd[:, i - 1])
+    past = np.arange(smax + 1) >= subs[:, None]
+    np.copyto(fwd, ends[1:, None, :], where=past[:, :, None])
+    ends = indexed_adjoint_chain(props, p_terminal)
+    back = np.empty((grid.N, smax, 16))
+    back[:, 0] = ends[1:]
+    for j in range(1, smax):
+        back[:, j] = np.einsum("kji,kj->ki", steps, back[:, j - 1])
+    lag = np.clip(subs[:, None] - np.arange(smax + 1), 0, smax - 1)
+    adj = np.take_along_axis(back, lag[:, :, None], axis=1)
+    adj[:, 0] = ends[:-1]
+    return steps, props, fwd, adj
+
+
+def per_interval_propagate(m, grid, start, K, method, adjoint):
+    n, sub, span = grid.N, K // grid.N, grid.T / K
+    states = np.empty((K + 1, 16))
+    x = start
+    lows = range(0, n, dynamics.NODE_BLOCK)
+    for lo in (reversed(lows) if adjoint else lows):
+        hi = min(lo + dynamics.NODE_BLOCK, n)
+        block = ControlGrid(span * (hi - lo), hi - lo, grid.u[lo:hi],
+                            grid.n1[lo:hi], grid.n2[lo:hi])
+        if method == "dp54":
+            subs = 2 * substep_counts(m, block,
+                                      dynamics._PROPAGATE_SUBSTEP_MAX)
+            props = per_interval_kernel(m, block, subs)[1]
+        else:
+            subs = np.full(block.N, max(1, math.ceil(4 / sub)))
+            props = per_interval_kernel(m, block, subs,
+                                        dynamics._TAYLOR4_DIVISORS)[1]
+        if adjoint:
+            chain = indexed_adjoint_chain(props, x, reps=sub)
+            x = chain[0]
+        else:
+            chain = indexed_forward_chain(props, x, reps=sub)
+            x = chain[-1]
+        states[lo * sub:hi * sub + 1] = chain
+    return states
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+CASES = ("repeated_mixed_subs", "signed_zeros", "single", "all_distinct",
+         "dt_hazard")
+
+
+def distinct_row_case(m, name):
+    """(grid, subs): repeated rows with mixed subs, 0.0/-0.0 pairs, one
+    interval, no repeated row, and T = 100, N = 1000 with as many distinct
+    rows as make a rebuilt grid's dt differ in the last bit."""
+    rng = np.random.default_rng(41)
+    if name == "repeated_mixed_subs":
+        levels = np.array([[0.0, 0.0, 0.0], [0.8, 1.5, 0.0], [-1.2, 0.3, 2.0]])
+        grid = ControlGrid(6.0, 60, *levels[rng.integers(0, 3, 60)].T)
+        return grid, 2 * rng.integers(1, 4, 60)
+    if name == "signed_zeros":
+        grid = ControlGrid(2.0, 8, [0.0, -0.0] * 4, [0.5, 0.5, 0.0, -0.0] * 2,
+                           [-0.0, -0.0, 0.0, 0.0] * 2)
+    elif name == "single":
+        grid = ControlGrid(0.5, 1, [0.3], [1.0], [0.0])
+    elif name == "all_distinct":
+        grid = _ragged_controls(rng, 40)
+    else:
+        dt = 100.0 / 1000
+        n = next(n for n in range(2, 1000) if (dt * n) / n != dt)
+        values = rng.uniform(0.0, 0.5, (3, n))
+        grid = ControlGrid(100.0, 1000, *values[:, np.arange(1000) % n])
+    return grid, substep_counts(m, grid)
+
+
+def distinct_rows(grid, subs):
+    keys = np.stack([grid.u, grid.n1, grid.n2, np.asarray(subs, float)], 1)
+    return len(np.unique(keys.view(np.int64), axis=0))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_distinct_row_kernel_matches_per_interval_build(matrices, name):
+    grid, subs = distinct_row_case(matrices, name)
+    rng = np.random.default_rng(7)
+    x0 = realify(random_density(rng))
+    p_terminal = rng.normal(size=16)
+    steps, props, ref_fwd, ref_adj = per_interval_subnodes(
+        matrices, grid, x0, p_terminal, subs)
+    fwd = forward_subnodes(matrices, grid, x0, subs)
+    adj = adjoint_subnodes(matrices, grid, p_terminal, subs, fwd)
+    assert same_bits(fwd.steps, steps) and same_bits(fwd.props, props)
+    assert same_bits(fwd.states, ref_fwd)
+    assert same_bits(adj.states, ref_adj)
+    assert same_bits(forward_endpoint(matrices, grid, x0, subs),
+                     ref_fwd[-1, -1])
+    for method in ("dp54", "rk4"):
+        for K in (grid.N, 3 * grid.N):
+            got = propagate_forward(matrices, grid, x0, K=K, method=method)
+            assert same_bits(got.states, per_interval_propagate(
+                matrices, grid, x0, K, method, adjoint=False))
+            got = propagate_adjoint(matrices, grid, p_terminal, K=K,
+                                    method=method)
+            assert same_bits(got.states, per_interval_propagate(
+                matrices, grid, p_terminal, K, method, adjoint=True))
+
+
+def test_kernel_builds_one_map_per_distinct_row(matrices, monkeypatch):
+    built = []
+    original = dynamics.interval_step_matrices
+
+    def counting(*args, **kwargs):
+        maps = original(*args, **kwargs)
+        built.append(len(maps))
+        return maps
+
+    monkeypatch.setattr(dynamics, "interval_step_matrices", counting)
+    x0 = embed_diagonal((0.25,) * 4)
+    for name in CASES:
+        grid, subs = distinct_row_case(matrices, name)
+        built.clear()
+        fwd = forward_subnodes(matrices, grid, x0, subs)
+        adjoint_subnodes(matrices, grid, np.ones(16), subs, fwd)
+        forward_endpoint(matrices, grid, x0, subs)
+        assert built == [distinct_rows(grid, subs)] * 2, name
+    # 0.0 and -0.0 rows stay apart: four maps, not two
+    assert distinct_rows(*distinct_row_case(matrices, "signed_zeros")) == 4
+    # post-run: one map per distinct row of each NODE_BLOCK block
+    built.clear()
+    propagate_forward(matrices, constant_grid(3.0, dynamics.NODE_BLOCK + 5),
+                      x0, method="rk4")
+    assert built == [1, 1]

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import grid_step_maps, random_density
 from tqoc import dynamics
 from tqoc.controls import ConstraintSet, ControlGrid, constant_grid, contains
-from tqoc.dynamics import (adjoint_subnodes, forward_subnodes,
-                           interval_step_matrices, substep_counts)
+from tqoc.dynamics import adjoint_subnodes, forward_subnodes, substep_counts
 from tqoc.errors import DivergedError
 from tqoc.gpm import (GPM1, GPM2, DecayingStep, FixedStep, GpmConfig,
                       first_iteration_equivalence_check)
@@ -77,8 +76,7 @@ def test_each_control_is_powered_once(matrices, monkeypatch):
     fwd = forward_subnodes(matrices, c0, x0, subs)
     adj = adjoint_subnodes(matrices, c0, spec.target, subs, fwd)
     assert adj.props is fwd.props and adj.steps is fwd.steps
-    assert np.array_equal(fwd.steps,
-                          interval_step_matrices(matrices, c0, subs))
+    assert np.array_equal(fwd.steps, grid_step_maps(matrices, c0, subs))
 
 
 def test_descent_on_small_problem(matrices):

@@ -53,21 +53,31 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([repr(v) for v in row])
 
 
-def _write_control_tables(out: Path, grid: ControlGrid, traj) -> None:
-    """controls.csv and trajectory.csv of a control and its trajectory."""
-    _write_csv(out / "controls.csv", ["t_start", "u", "n1", "n2"],
-               np.column_stack([np.arange(grid.N) * grid.dt, grid.u, grid.n1,
-                                grid.n2]))
-    _write_csv(out / "trajectory.csv", ["t"] + [f"x{j}" for j in range(1, 17)]
-               + [f"rho_{j}{j}" for j in range(1, 5)],
-               np.column_stack([traj.times, traj.states,
-                                traj.states[:, list(DIAG_SLOTS)]]))
+def _control_tables(grid: ControlGrid, traj) -> dict:
+    """controls and trajectory tables, name: (header, rows)."""
+    return {
+        "controls": (["t_start", "u", "n1", "n2"],
+                     np.column_stack([np.arange(grid.N) * grid.dt, grid.u,
+                                      grid.n1, grid.n2])),
+        "trajectory": (["t"] + [f"x{j}" for j in range(1, 17)]
+                       + [f"rho_{j}{j}" for j in range(1, 5)],
+                       np.column_stack([traj.times, traj.states,
+                                        traj.states[:, list(DIAG_SLOTS)]])),
+    }
 
 
-def _write_report_json(report: dict, path) -> None:
-    with open(path, "w") as fh:
+def _write_bundle(out_dir, tables: dict, report_name: str,
+                  report: dict) -> Path:
+    """Make the output directory, write each table name: (header, rows) to
+    name.csv, then the report as JSON; returns the directory."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        _write_csv(out / f"{name}.csv", header, rows)
+    with open(out / report_name, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return out
 
 
 def _diagonal_or_none(rho: np.ndarray):
@@ -112,20 +122,20 @@ def run_experiment(config: ExperimentConfig, out_dir, integrator: str = "dp54",
 
     traj = propagate_forward(matrices, gpm_report.final_control, x0,
                              K=config.K, method=integrator)
-    diag_table = compute_rows(traj, config.objective)
+    tables = {
+        **_control_tables(gpm_report.final_control, traj),
+        "diagnostics": (diagnostics_header(),
+                        compute_rows(traj, config.objective)),
+        "iterations": (["k", "I", "J", "cauchy_count"],
+                       [(rec.k, rec.value, rec.overlap_value, rec.cauchy_count)
+                        for rec in gpm_report.iterates]),
+    }
     aleph_value = aleph(traj)
     bounds = overlap_bounds(config.rho_target)
 
     report = {
         "schema_version": SCHEMA_VERSION,
-        "csv_columns": {
-            "controls": ["t_start", "u", "n1", "n2"],
-            "trajectory": ["t", "x1..x16", "rho_jj"],
-            "diagnostics": ["t", "overlap", "entropy", "purity", "uj_fidelity",
-                            "rel_entropy", "petz_renyi", "distance_sq",
-                            "smoothed_overlap_dev"],
-            "iterations": ["k", "I", "J", "cauchy_count"],
-        },
+        "csv_columns": {name: header for name, (header, _) in tables.items()},
         "preset": preset_name,
         "objective_kind": config.objective.kind,
         "integrator": integrator,
@@ -142,15 +152,7 @@ def run_experiment(config: ExperimentConfig, out_dir, integrator: str = "dp54",
         "non_monotone_steps": list(gpm_report.non_monotone_steps),
     }
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_control_tables(out, gpm_report.final_control, traj)
-    _write_csv(out / "diagnostics.csv", diagnostics_header(), diag_table)
-    _write_csv(out / "iterations.csv", ["k", "I", "J", "cauchy_count"],
-               [(rec.k, rec.value, rec.overlap_value, rec.cauchy_count)
-                for rec in gpm_report.iterates])
-    _write_report_json(report, out / "report.json")
-
+    out = _write_bundle(out_dir, tables, "report.json", report)
     if not quiet:
         print(f"stop: {gpm_report.stop_reason} after "
               f"{gpm_report.cauchy_count} Cauchy problems; "
@@ -213,10 +215,8 @@ def run_exact_optimality_check(out_dir, integrator: str = "dp54",
         },
     }
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_control_tables(out, probe, traj_probe)
-    _write_report_json(report, out / "report.json")
+    out = _write_bundle(out_dir, _control_tables(probe, traj_probe),
+                        "report.json", report)
     if not quiet:
         print(f"analytic overlap {analytic!r}, numeric {numeric:.10f}, "
               f"probe {probe_overlap:.4f}, bounds "
@@ -225,25 +225,20 @@ def run_exact_optimality_check(out_dir, integrator: str = "dp54",
     return report
 
 
-def _verify_zero_control_state(config, matrices):
-    diag0 = _diagonal_or_none(config.rho0)
-    if diag0 is None:
+def _verify_zero_control(config, matrices, adjoint: bool) -> dict:
+    """Numeric zero-control state from rho0, or adjoint from p(T) = target,
+    against its closed form; diagonal states only."""
+    diag = _diagonal_or_none(config.rho_target if adjoint else config.rho0)
+    if diag is None:
         return {"applicable": False}
     grid = constant_grid(config.T, config.N)
-    traj = propagate_forward(matrices, grid, embed_diagonal(diag0))
-    ref = zero_control_state(config.system, diag0, traj.times)
-    return {"applicable": True,
-            "max_deviation": float(np.max(np.abs(traj.states - ref)))}
-
-
-def _verify_zero_control_adjoint(config, matrices):
-    diag_t = _diagonal_or_none(config.rho_target)
-    if diag_t is None:
-        return {"applicable": False}
-    grid = constant_grid(config.T, config.N)
-    p_term = zero_control_adjoint(config.system, diag_t, 1, config.T, config.T)
-    traj = propagate_adjoint(matrices, grid, p_term)
-    ref = zero_control_adjoint(config.system, diag_t, 1, config.T, traj.times)
+    if adjoint:
+        traj = propagate_adjoint(matrices, grid, embed_diagonal(diag))
+        ref = zero_control_adjoint(config.system, diag, 1, config.T,
+                                   traj.times)
+    else:
+        traj = propagate_forward(matrices, grid, embed_diagonal(diag))
+        ref = zero_control_state(config.system, diag, traj.times)
     return {"applicable": True,
             "max_deviation": float(np.max(np.abs(traj.states - ref)))}
 
@@ -290,8 +285,8 @@ def run_verification(config: ExperimentConfig, out_dir,
     matrices = build_system_matrices(config.system)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "zero_control_state": _verify_zero_control_state(config, matrices),
-        "zero_control_adjoint": _verify_zero_control_adjoint(config, matrices),
+        "zero_control_state": _verify_zero_control(config, matrices, False),
+        "zero_control_adjoint": _verify_zero_control(config, matrices, True),
         "gradient_fd": _verify_gradient_fd(config, matrices),
         "pmp": {"applicable": False},
     }
@@ -305,9 +300,7 @@ def run_verification(config: ExperimentConfig, out_dir,
                 cfg, config.system, min(config.T, 5.0), m=matrices))
         report["pmp"] = {"applicable": True, "cases": cases}
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_report_json(report, out / "verification_report.json")
+    out = _write_bundle(out_dir, {}, "verification_report.json", report)
     if not quiet:
         state = report["zero_control_state"]
         grad = report["gradient_fd"]
@@ -354,14 +347,13 @@ def main(argv=None) -> int:
     integrator = getattr(args, "integrator", "dp54")
     quiet = getattr(args, "quiet", False)
     try:
-        if args.command == "run":
+        if args.command in ("run", "verify"):
             config = load_config(args.config)
             out = args.out or config.outputs or "tqoc_output"
-            run_experiment(config, out, integrator, quiet)
-        elif args.command == "verify":
-            config = load_config(args.config)
-            out = args.out or config.outputs or "tqoc_output"
-            run_verification(config, out, quiet)
+            if args.command == "run":
+                run_experiment(config, out, integrator, quiet)
+            else:
+                run_verification(config, out, quiet)
         else:
             if args.list:
                 print("\n".join(PRESET_NAMES))

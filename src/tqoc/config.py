@@ -9,13 +9,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controls import ConstraintSet, ControlGrid
+from .diagnostics import purity
 from .errors import ConfigError, NotHermitianError
 from .gpm import GPM1, GPM2, DecayingStep, FixedStep, GpmConfig
-from .model import SystemParams, realify
+from .model import SystemParams, derealify, realify
 from .objectives import (KINDS, MAXIMIZE_OVERLAP, SMOOTHED_DEVIATION,
-                         SQUARED_DEVIATION, ObjectiveSpec)
+                         SQUARED_DEVIATION, ObjectiveSpec, overlap_bounds)
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -183,12 +184,6 @@ def _parse_optimizer(data, path) -> GpmConfig:
         raise ConfigError(f"{path}.method: expected 'gpm1' or 'gpm2'")
     if "alpha" in data and "alpha_hat" in data:
         raise ConfigError(f"{path}: give either alpha or alpha_hat, not both")
-    if "alpha_hat" in data:
-        step = DecayingStep(
-            _get_number(data, "alpha_hat", path, required=True),
-            _get_number(data, "sigma", path, default=1.5))
-    else:
-        step = FixedStep(_get_number(data, "alpha", path, required=True))
     kwargs = {}
     for json_name, field in (("beta", "beta"),
                              ("eps_stop1", "stop_tol_delta"),
@@ -203,6 +198,12 @@ def _parse_optimizer(data, path) -> GpmConfig:
             raise ConfigError(f"{path}.max_iters: expected an integer")
         kwargs["max_iters"] = raw
     try:
+        if "alpha_hat" in data:
+            step = DecayingStep(
+                _get_number(data, "alpha_hat", path, required=True),
+                _get_number(data, "sigma", path, default=1.5))
+        else:
+            step = FixedStep(_get_number(data, "alpha", path, required=True))
         return GpmConfig(method=method, step=step, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -216,8 +217,13 @@ def parse_config(data: dict) -> ExperimentConfig:
     rho0 = _parse_matrix(data["rho0"], "rho0")
     rho_target = _parse_matrix(data["rho_target"], "rho_target")
     try:
-        realify(rho0)
+        x0 = realify(rho0)
         target_x = realify(rho_target)
+        # positivity as the run's outputs check it after the optimizer: the
+        # diagnostics of rho0, the first trajectory node (eigenvalues down to
+        # -1e-8), and the report's overlap bounds (target, down to -1e-10)
+        purity(derealify(x0))
+        overlap_bounds(rho_target)
     except Exception as exc:
         raise ConfigError(f"state matrices: {exc}") from exc
 

@@ -22,8 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controls import ControlGrid
-from .errors import BadTraceError, ConfigError, GridMismatchError
-from .model import SystemMatrices, SystemParams, derealify, state_trace
+from .errors import (BadTraceError, ConfigError, GridMismatchError,
+                     NotDensityMatrixError)
+from .model import (DIAG_SLOTS, SystemMatrices, SystemParams, derealify,
+                    state_trace)
 from .smallmat import hermitian_eigen
 
 # Horner divisors, innermost first (acc = I + z acc / d): Dormand-Prince 5(4)
@@ -161,23 +163,13 @@ def _kernel(m: SystemMatrices, grid: ControlGrid, subs: np.ndarray,
 
 def _forward_chain(props: np.ndarray, x0: np.ndarray,
                    reps: int = 1) -> np.ndarray:
-    """x_{i+1} = P x_i, each P_k applied reps times in turn."""
+    """x_{i+1} = P x_i, each P_k applied reps times in turn.  On the maps
+    transposed in reverse order it runs the adjoint q_i = q_{i+1} P."""
     out = np.empty((reps * len(props) + 1, 16))
     out[0] = x0
     rows, maps = list(out), [p for p in props for _ in range(reps)]
     for p, x, y in zip(maps, rows, rows[1:]):
         np.dot(p, x, out=y)
-    return out
-
-
-def _adjoint_chain(props: np.ndarray, p_terminal: np.ndarray,
-                   reps: int = 1) -> np.ndarray:
-    """q_i = q_{i+1} P backward from the last node, stored t-ascending."""
-    out = np.empty((reps * len(props) + 1, 16))
-    out[-1] = p_terminal
-    rows, maps = list(out), [p for p in props for _ in range(reps)]
-    for p, q, y in zip(maps[::-1], rows[::-1], rows[-2::-1]):
-        np.dot(q, p, out=y)
     return out
 
 
@@ -237,7 +229,8 @@ def adjoint_subnodes(m: SystemMatrices, grid: ControlGrid, p_terminal: np.ndarra
     """Backward pass on the same sub-grid, stored t-ascending.  Builds
     nothing: it applies ``fwd``'s maps transposed (R(hG)^T = R(hG^T))."""
     subs = np.asarray(subs)
-    ends = _adjoint_chain(fwd.props, np.asarray(p_terminal, dtype=float))
+    ends = _forward_chain(fwd.props.transpose(0, 2, 1)[::-1],
+                          np.asarray(p_terminal, dtype=float))[::-1]
     smax = int(subs.max())
     # back is the adjoint j substeps before t_{k+1}, sub-node subs[k] - j of
     # interval k; rows from subs[k] on keep the end state, row 0 the chain's.
@@ -311,12 +304,10 @@ def _propagate(m, grid, start, K, method, adjoint):
             divisors = _TAYLOR4_DIVISORS
         props = _kernel(m, block, subs, divisors)[1]
         if adjoint:
-            chain = _adjoint_chain(props, x, reps=sub)
-            x = chain[0]
-        else:
-            chain = _forward_chain(props, x, reps=sub)
-            x = chain[-1]
-        states[lo * sub:hi * sub + 1] = chain
+            props = props.transpose(0, 2, 1)[::-1]
+        chain = _forward_chain(props, x, reps=sub)
+        x = chain[-1]
+        states[lo * sub:hi * sub + 1] = chain[::-1] if adjoint else chain
     return Trajectory(np.linspace(0.0, grid.T, K + 1), states)
 
 
@@ -331,7 +322,8 @@ def _decay_rates(params: SystemParams) -> tuple[float, float]:
 def _populations(values, name: str):
     a = np.asarray(values, dtype=float)
     if a.shape != (4,) or np.any(a < -1e-12) or abs(a.sum() - 1.0) > 1e-9:
-        raise ValueError(f"{name} must be nonnegative and sum to 1")
+        raise NotDensityMatrixError(
+            f"{name} must be nonnegative and sum to 1")
     return (float(v) for v in a)
 
 
@@ -380,7 +372,7 @@ def zero_control_adjoint(params: SystemParams, target_diag, sense: int,
 
 def trace_drift(traj: Trajectory) -> float:
     """Largest deviation of the trace condition over the trajectory."""
-    sums = traj.states[:, [0, 7, 12, 15]].sum(axis=1)
+    sums = traj.states[:, list(DIAG_SLOTS)].sum(axis=1)
     return float(np.max(np.abs(sums - 1.0)))
 
 

@@ -9,6 +9,7 @@ one adjoint); the initial objective evaluation adds one more.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,6 +38,10 @@ _DIVERGENCE_CAP = 1e6
 class FixedStep:
     alpha: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError("alpha must be positive and finite")
+
     def at(self, k: int) -> float:
         return self.alpha
 
@@ -48,8 +53,17 @@ class DecayingStep:
     alpha_hat: float
     sigma: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.alpha_hat) and self.alpha_hat > 0.0):
+            raise ValueError("alpha_hat must be positive and finite")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValueError("sigma must be nonnegative and finite")
+
     def at(self, k: int) -> float:
-        return self.alpha_hat / (k ** self.sigma + 1.0)
+        try:
+            return self.alpha_hat / (k ** self.sigma + 1.0)
+        except OverflowError:  # k^sigma beyond the float range: the limit
+            return 0.0
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ of those densities."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -72,11 +71,3 @@ def emit_curve(beta: float, filter_components, omega_max: float,
         planck(omega, beta),
         filtered(omega, beta, filter_components),
     ])
-
-
-def write_curve_csv(table: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega", "planck", "filtered"])
-        for row in table:
-            writer.writerow([repr(float(v)) for v in row])

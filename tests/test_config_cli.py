@@ -137,7 +137,7 @@ def test_run_writes_output_bundle(tmp_path):
                  "iterations.csv", "report.json"):
         assert (out / name).exists()
     on_disk = json.loads((out / "report.json").read_text())
-    assert on_disk["schema_version"] == "1"
+    assert on_disk["schema_version"] == "2"
     assert on_disk["final"]["cauchy_count"] == report["final"]["cauchy_count"]
     assert on_disk["bounds"]["lower"] == pytest.approx(0.1, abs=1e-12)
     assert on_disk["bounds"]["upper"] == pytest.approx(0.7, abs=1e-12)
@@ -145,6 +145,17 @@ def test_run_writes_output_bundle(tmp_path):
             <= on_disk["bounds"]["upper"] + 1e-9)
     assert on_disk["pmp"]["applicable"] is True
     assert on_disk["pmp"]["rho0_kind"] == "completely_mixed"
+
+
+def test_report_csv_columns_are_the_csv_headers(tmp_path):
+    out = tmp_path / "bundle"
+    run_experiment(parse_config(tiny_config()), out, quiet=True)
+    columns = json.loads((out / "report.json").read_text())["csv_columns"]
+    assert sorted(columns) == ["controls", "diagnostics", "iterations",
+                               "trajectory"]
+    for name, header in columns.items():
+        with open(out / f"{name}.csv") as fh:
+            assert next(csv.reader(fh)) == header, name
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -308,7 +319,8 @@ def test_bundle_csvs_match_per_row_writers(tmp_path, monkeypatch, overrides,
 def test_controls_csv(tmp_path, matrices):
     grid = constant_grid(2.0, 4, u=0.5, n1=1.0, n2=0.0)
     traj = propagate_forward(matrices, grid, embed_diagonal((0.25,) * 4))
-    cli._write_control_tables(tmp_path, grid, traj)
+    header, rows = cli._control_tables(grid, traj)["controls"]
+    cli._write_csv(tmp_path / "controls.csv", header, rows)
     with open(tmp_path / "controls.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t_start", "u", "n1", "n2"]
@@ -387,10 +399,23 @@ def test_verify_command(tmp_path):
     {"rho_target": [[0.7, [0.0, math.nan], 0.0, 0.0],
                     [[0.0, math.nan], 0.1, 0.0, 0.0],
                     [0.0, 0.0, 0.1, 0.0], [0.0, 0.0, 0.0, 0.1]]},
+    {"rho0": [1.5, -0.5, 0.0, 0.0]},
+    {"rho_target": [1.5, -0.5, 0.0, 0.0]},
+    {"optimizer": {"alpha": math.nan}},
+    {"optimizer": {"alpha": math.inf}},
+    {"optimizer": {"alpha": -1.0}},
+    {"optimizer": {"alpha_hat": math.nan, "sigma": 1.5}},
+    {"optimizer": {"alpha_hat": math.inf, "sigma": 1.5}},
+    {"optimizer": {"alpha_hat": 5.0, "sigma": -1.0}},
+    {"optimizer": {"alpha_hat": 5.0, "sigma": math.nan}},
+    {"optimizer": {"alpha_hat": 5.0, "sigma": math.inf}},
 ], ids=["K_zero", "K_negative", "T_infinite", "control_infinite",
         "control_argument_overflow", "interaction_not_hermitian",
         "T_integer_overflow", "control_integer_overflow",
-        "rho0_nan", "rho_target_nan"])
+        "rho0_nan", "rho_target_nan", "rho0_not_psd", "rho_target_not_psd",
+        "alpha_nan", "alpha_infinite", "alpha_negative", "alpha_hat_nan",
+        "alpha_hat_infinite", "sigma_negative", "sigma_nan",
+        "sigma_infinite"])
 def test_invalid_config_exits_1_without_outputs(tmp_path, overrides):
     with pytest.raises(ConfigError):
         parse_config(tiny_config(**overrides))
@@ -408,4 +433,26 @@ def test_overflowing_horizon_exits_2_without_outputs(tmp_path):
     config_path.write_text(json.dumps(tiny_config(T=1e308)))
     out = tmp_path / "out"
     assert main(["--quiet", "run", str(config_path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_overflowing_step_decay_runs_on_zero_steps(tmp_path):
+    # 2 ** 1e308 overflows a float; the step is then its limit, 0.0
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(tiny_config(
+        optimizer={"alpha_hat": 5.0, "sigma": 1e308, "max_iters": 4,
+                   "eps_stop1": 0.0})))
+    out = tmp_path / "out"
+    code = main(["--quiet", "run", str(config_path), "--out", str(out)])
+    assert code in (0, 2)
+
+
+def test_verify_negative_population_exits_2(tmp_path):
+    # within the PSD tolerance of the parser, beyond that of the closed forms
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(tiny_config(
+        rho0=[0.25, 0.25 + 1e-9, 0.5, -1e-9])))
+    out = tmp_path / "out"
+    assert main(["--quiet", "verify", str(config_path), "--out",
+                 str(out)]) == 2
     assert not out.exists()

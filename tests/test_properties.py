@@ -158,6 +158,17 @@ HOSTILE = {
 }
 
 
+# Optimizer step fields: mostly plausible, plus NaN, infinities, negatives
+# and a sigma whose k ** sigma overflows.
+step_values = st.one_of(st.floats(1e-6, 1e12), st.floats(),
+                        st.sampled_from([-1.0, 1e308]))
+optimizers = st.builds(
+    lambda method, step: dict(step, method=method, max_iters=3),
+    st.sampled_from(["gpm1", "gpm2"]),
+    st.one_of(st.fixed_dictionaries({"alpha": step_values}),
+              st.fixed_dictionaries({"alpha_hat": step_values,
+                                     "sigma": step_values})))
+
 # Values that mostly parse, so that runs reach the optimizer and the writers.
 PLAUSIBLE = {
     ("system", "epsilon"): st.floats(1e-6, 1e6),
@@ -167,8 +178,7 @@ PLAUSIBLE = {
     ("K",): st.sampled_from([4, 8, 64, 256]),
     ("initial_controls", "u"): st.floats(-1e6, 1e6),
     ("initial_controls", "n1"): st.floats(0.0, 1e6),
-    ("optimizer", "alpha"): st.floats(1e-6, 1e12),
-    ("optimizer", "method"): st.sampled_from(["gpm1", "gpm2"]),
+    ("optimizer",): optimizers,
 }
 
 

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from tqoc.spectral import (SpectralDensity, emit_curve, filtered, planck,
-                           write_curve_csv)
+from tqoc.cli import _write_csv
+from tqoc.spectral import SpectralDensity, emit_curve, filtered, planck
 
 FIG_FILTER = ((2.0, 0.25), (6.0, 0.25))
 
@@ -75,10 +75,22 @@ def test_density_object():
         SpectralDensity(1.0, ((2.0, -1.0),))
 
 
+def oracle_curve_csv(table, path):
+    """The former per-row spectral curve writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["omega", "planck", "filtered"])
+        for row in table:
+            writer.writerow([repr(float(v)) for v in row])
+
+
 def test_curve_csv(tmp_path):
-    path = tmp_path / "spectral.csv"
-    write_curve_csv(emit_curve(1.0, FIG_FILTER, 10.0, 11), path)
+    path, oracle = tmp_path / "spectral.csv", tmp_path / "oracle.csv"
+    table = emit_curve(1.0, FIG_FILTER, 10.0, 11)
+    _write_csv(path, ["omega", "planck", "filtered"], table)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["omega", "planck", "filtered"]
     assert len(rows) == 12
+    oracle_curve_csv(table, oracle)
+    assert path.read_bytes() == oracle.read_bytes()

@@ -69,9 +69,12 @@ def _control_tables(grid: ControlGrid, traj) -> dict:
 def _write_bundle(out_dir, tables: dict, report_name: str,
                   report: dict) -> Path:
     """Make the output directory, write each table name: (header, rows) to
-    name.csv, then the report as JSON; returns the directory."""
+    name.csv, then the report as JSON, with the headers as ``csv_columns``
+    when there are tables; returns the directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if tables:
+        report["csv_columns"] = {name: t[0] for name, t in tables.items()}
     for name, (header, rows) in tables.items():
         _write_csv(out / f"{name}.csv", header, rows)
     with open(out / report_name, "w") as fh:
@@ -87,27 +90,34 @@ def _diagonal_or_none(rho: np.ndarray):
     return np.real(np.diag(rho)).copy()
 
 
-def _pmp_verdicts(config: ExperimentConfig) -> dict:
-    """Analytic zero-control verdicts when the configured states allow them."""
+def _pmp_cases(config: ExperimentConfig) -> tuple | None:
+    """The analytic zero-control cases (maximize, minimize) when the
+    configured states allow them, else None."""
     diag0 = _diagonal_or_none(config.rho0)
     diag_t = _diagonal_or_none(config.rho_target)
-    out: dict = {"applicable": False}
     if diag0 is None or diag_t is None:
-        return out
+        return None
     if np.allclose(diag0, (1.0, 0.0, 0.0, 0.0), atol=1e-12):
         kind = pmp.PURE_GROUND
     elif np.allclose(diag0, (0.25,) * 4, atol=1e-12):
         kind = pmp.COMPLETELY_MIXED
     else:
-        return out
+        return None
     b = tuple(float(v) for v in diag_t)
-    out["applicable"] = True
-    out["rho0_kind"] = kind
-    for sense, label in ((1, "maximize"), (-1, "minimize")):
-        cfg = pmp.PmpCaseConfig(kind, sense, b)
+    return tuple(pmp.PmpCaseConfig(kind, sense, b) for sense in (1, -1))
+
+
+def _pmp_verdicts(config: ExperimentConfig) -> dict:
+    """Analytic zero-control verdicts when the configured states allow them."""
+    cases = _pmp_cases(config)
+    if cases is None:
+        return {"applicable": False}
+    out = {"applicable": True, "rho0_kind": cases[0].rho0_kind}
+    for cfg, label in zip(cases, ("maximize", "minimize")):
         out[f"zero_control_pmp_{label}"] = pmp.pmp_zero_control_condition(cfg)
-    if kind == pmp.PURE_GROUND:
-        out["zero_control_stationary"] = pmp.stationary_zero_control_condition(b)
+    if cases[0].rho0_kind == pmp.PURE_GROUND:
+        out["zero_control_stationary"] = pmp.stationary_zero_control_condition(
+            cases[0].target_diag)
     return out
 
 
@@ -135,7 +145,6 @@ def run_experiment(config: ExperimentConfig, out_dir, integrator: str = "dp54",
 
     report = {
         "schema_version": SCHEMA_VERSION,
-        "csv_columns": {name: header for name, (header, _) in tables.items()},
         "preset": preset_name,
         "objective_kind": config.objective.kind,
         "integrator": integrator,
@@ -290,15 +299,11 @@ def run_verification(config: ExperimentConfig, out_dir,
         "gradient_fd": _verify_gradient_fd(config, matrices),
         "pmp": {"applicable": False},
     }
-    verdicts = _pmp_verdicts(config)
-    if verdicts["applicable"]:
-        diag_t = tuple(float(v) for v in _diagonal_or_none(config.rho_target))
-        cases = []
-        for sense in (1, -1):
-            cfg = pmp.PmpCaseConfig(verdicts["rho0_kind"], sense, diag_t)
-            cases.append(pmp.verify_pmp_numerically(
-                cfg, config.system, min(config.T, 5.0), m=matrices))
-        report["pmp"] = {"applicable": True, "cases": cases}
+    cases = _pmp_cases(config)
+    if cases is not None:
+        report["pmp"] = {"applicable": True, "cases": [
+            pmp.verify_pmp_numerically(cfg, config.system, min(config.T, 5.0),
+                                       m=matrices) for cfg in cases]}
 
     out = _write_bundle(out_dir, {}, "verification_report.json", report)
     if not quiet:

@@ -16,7 +16,7 @@ from .model import SystemParams, derealify, realify
 from .objectives import (KINDS, MAXIMIZE_OVERLAP, SMOOTHED_DEVIATION,
                          SQUARED_DEVIATION, ObjectiveSpec, overlap_bounds)
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 @dataclass(frozen=True)

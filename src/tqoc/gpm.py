@@ -10,7 +10,7 @@ one adjoint); the initial objective evaluation adds one more.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,6 +83,11 @@ class GpmConfig:
             raise ValueError("beta must lie in (0, 1) for the two-step method")
         if self.step.at(0) <= 0.0:
             raise ValueError("step size must be positive")
+        # 0.0 switches a rule off; NaN would do so silently
+        if not all(math.isfinite(tol) and tol >= 0.0 for tol in (
+                self.stop_tol_delta, self.stop_tol_value,
+                self.stop_tol_deviation)):
+            raise ValueError("stop tolerances must be nonnegative and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 
@@ -101,8 +106,6 @@ class GpmReport:
     final_control: ControlGrid
     final_trajectory: Trajectory
     stop_reason: str
-    cauchy_count: int
-    non_monotone_steps: list = field(default_factory=list)
 
     @property
     def final_value(self) -> float:
@@ -112,16 +115,15 @@ class GpmReport:
     def final_overlap(self) -> float:
         return self.iterates[-1].overlap_value
 
+    @property
+    def cauchy_count(self) -> int:
+        return self.iterates[-1].cauchy_count
 
-def _smoothed_stop(spec: ObjectiveSpec, cfg: GpmConfig, value: float,
-                   overlap_value: float) -> str | None:
-    if spec.kind != SMOOTHED_DEVIATION:
-        return None
-    if value < cfg.stop_tol_value:
-        return STOP_SMOOTHED_VALUE
-    if abs(overlap_value - spec.setpoint) < cfg.stop_tol_deviation:
-        return STOP_DEVIATION
-    return None
+    @property
+    def non_monotone_steps(self) -> list:
+        """Iterations whose I rose above the previous iterate's."""
+        return [b.k for a, b in zip(self.iterates, self.iterates[1:])
+                if b.value > a.value]
 
 
 def run(m: SystemMatrices, spec: ObjectiveSpec, x0: np.ndarray,
@@ -130,61 +132,39 @@ def run(m: SystemMatrices, spec: ObjectiveSpec, x0: np.ndarray,
     if not contains(c0, q):
         raise ValueError("initial control is not feasible for the constraint set")
     x0 = np.asarray(x0, dtype=float)
+    smoothed = spec.kind == SMOOTHED_DEVIATION
+    iterates: list = []
+    control, samples = c0, None
+    for k in range(cfg.max_iters + 1):
+        # the heap layout sets the page faults, so adj (which also holds the
+        # last fwd's steps and props) and the last two samples stay bound
+        # across this solve; with adj freed first, glibc trims and regrows
+        fwd = forward_subnodes(m, control, x0, substep_counts(m, control))
+        value = evaluate(fwd.end_state, spec)
+        j_value = overlap(fwd.end_state, spec)
+        # 2k + 1 Cauchy problems so far: k + 1 forward solves, k adjoints
+        iterates.append(IterationRecord(k, value, j_value, 2 * k + 1))
+        if not np.isfinite(value) or value > _DIVERGENCE_CAP:
+            raise DivergedError(f"objective reached {value!r} at iteration {k}")
+        reason = STOP_MAX_ITERS if k == cfg.max_iters else None
+        if k > 0 and abs(value - iterates[-2].value) < cfg.stop_tol_delta:
+            reason = STOP_DELTA_OBJECTIVE
+        elif smoothed and value < cfg.stop_tol_value:
+            reason = STOP_SMOOTHED_VALUE
+        elif smoothed and abs(j_value - spec.setpoint) < cfg.stop_tol_deviation:
+            reason = STOP_DEVIATION
+        if reason is not None:
+            return GpmReport(iterates, control, fwd.at_breakpoints(), reason)
 
-    control = c0
-    fwd = forward_subnodes(m, control, x0, substep_counts(m, control))
-    value = evaluate(fwd.end_state, spec)
-    j_value = overlap(fwd.end_state, spec)
-    if not np.isfinite(value):
-        raise DivergedError("objective is not finite at the initial control")
-    cauchy = 1
-    iterates = [IterationRecord(0, value, j_value, cauchy)]
-    non_monotone: list = []
-
-    reason = _smoothed_stop(spec, cfg, value, j_value)
-    if reason is not None:
-        return GpmReport(iterates, control, fwd.at_breakpoints(), reason,
-                         cauchy, non_monotone)
-
-    previous: np.ndarray | None = None  # the last iterate's (u, n1, n2)
-    reason = STOP_MAX_ITERS
-    for k in range(cfg.max_iters):
+        previous = samples
         adj = adjoint_subnodes(m, control, transversality(fwd.end_state, spec),
                                fwd.subs, fwd)
-        cauchy += 1
         kbar = switching_interval_means(m, fwd, adj)  # minus the gradient
-        alpha = cfg.step.at(k)
         samples = np.stack([control.u, control.n1, control.n2])
-        new = samples + alpha * kbar
+        new = samples + cfg.step.at(k) * kbar
         if cfg.method == GPM2 and k > 0:
             new = new + cfg.beta * (samples - previous)
-        candidate = project(ControlGrid(control.T, control.N, *new), q)
-
-        fwd_next = forward_subnodes(m, candidate, x0,
-                                    substep_counts(m, candidate))
-        cauchy += 1
-        value_next = evaluate(fwd_next.end_state, spec)
-        j_next = overlap(fwd_next.end_state, spec)
-        iterates.append(IterationRecord(k + 1, value_next, j_next, cauchy))
-        if not np.isfinite(value_next) or value_next > _DIVERGENCE_CAP:
-            raise DivergedError(
-                f"objective reached {value_next!r} at iteration {k + 1}")
-        if value_next > value:
-            non_monotone.append(k + 1)
-
-        if abs(value_next - value) < cfg.stop_tol_delta:
-            stop = STOP_DELTA_OBJECTIVE
-        else:
-            stop = _smoothed_stop(spec, cfg, value_next, j_next)
-
-        previous, control, fwd = samples, candidate, fwd_next
-        value, j_value = value_next, j_next
-        if stop is not None:
-            reason = stop
-            break
-
-    return GpmReport(iterates, control, fwd.at_breakpoints(), reason, cauchy,
-                     non_monotone)
+        control = project(ControlGrid(control.T, control.N, *new), q)
 
 
 def first_iteration_equivalence_check(m: SystemMatrices, spec: ObjectiveSpec,

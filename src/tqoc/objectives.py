@@ -57,6 +57,8 @@ class ObjectiveSpec:
             raise ValueError("smoothing width must be positive")
         if self.kind == MAXIMIZE_OVERLAP and self.upper_bound is None:
             raise ValueError("maximize_overlap requires an upper_bound")
+        if self.upper_bound is not None and not np.isfinite(self.upper_bound):
+            raise ValueError("upper_bound must be finite")
 
     @property
     def weighted_target(self) -> np.ndarray:

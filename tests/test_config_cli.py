@@ -137,7 +137,7 @@ def test_run_writes_output_bundle(tmp_path):
                  "iterations.csv", "report.json"):
         assert (out / name).exists()
     on_disk = json.loads((out / "report.json").read_text())
-    assert on_disk["schema_version"] == "2"
+    assert on_disk["schema_version"] == "3"
     assert on_disk["final"]["cauchy_count"] == report["final"]["cauchy_count"]
     assert on_disk["bounds"]["lower"] == pytest.approx(0.1, abs=1e-12)
     assert on_disk["bounds"]["upper"] == pytest.approx(0.7, abs=1e-12)
@@ -148,14 +148,20 @@ def test_run_writes_output_bundle(tmp_path):
 
 
 def test_report_csv_columns_are_the_csv_headers(tmp_path):
-    out = tmp_path / "bundle"
-    run_experiment(parse_config(tiny_config()), out, quiet=True)
-    columns = json.loads((out / "report.json").read_text())["csv_columns"]
-    assert sorted(columns) == ["controls", "diagnostics", "iterations",
-                               "trajectory"]
-    for name, header in columns.items():
-        with open(out / f"{name}.csv") as fh:
-            assert next(csv.reader(fh)) == header, name
+    # every report written next to tables names them: the run bundle and
+    # the sec4_6_check bundle
+    run_experiment(parse_config(tiny_config()), tmp_path / "run", quiet=True)
+    run_exact_optimality_check(tmp_path / "check", quiet=True)
+    for out, tables in (
+            (tmp_path / "run", ["controls", "diagnostics", "iterations",
+                                "trajectory"]),
+            (tmp_path / "check", ["controls", "trajectory"])):
+        columns = json.loads((out / "report.json").read_text())["csv_columns"]
+        assert sorted(columns) == tables
+        assert sorted(p.stem for p in out.glob("*.csv")) == tables
+        for name, header in columns.items():
+            with open(out / f"{name}.csv") as fh:
+                assert next(csv.reader(fh)) == header, name
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -409,13 +415,22 @@ def test_verify_command(tmp_path):
     {"optimizer": {"alpha_hat": 5.0, "sigma": -1.0}},
     {"optimizer": {"alpha_hat": 5.0, "sigma": math.nan}},
     {"optimizer": {"alpha_hat": 5.0, "sigma": math.inf}},
+    {"objective": {"kind": "maximize_overlap", "upper_bound": math.nan}},
+    {"objective": {"kind": "maximize_overlap", "upper_bound": math.inf}},
+    {"objective": {"kind": "maximize_overlap", "upper_bound": -math.inf}},
+    {"optimizer": {"alpha": 1e4, "eps_stop1": math.nan}},
+    {"optimizer": {"alpha": 1e4, "eps_stop1": -1.0}},
+    {"optimizer": {"alpha": 1e4, "eps_stop2": math.inf}},
+    {"optimizer": {"alpha": 1e4, "eps_stop3": math.nan}},
 ], ids=["K_zero", "K_negative", "T_infinite", "control_infinite",
         "control_argument_overflow", "interaction_not_hermitian",
         "T_integer_overflow", "control_integer_overflow",
         "rho0_nan", "rho_target_nan", "rho0_not_psd", "rho_target_not_psd",
         "alpha_nan", "alpha_infinite", "alpha_negative", "alpha_hat_nan",
         "alpha_hat_infinite", "sigma_negative", "sigma_nan",
-        "sigma_infinite"])
+        "sigma_infinite", "upper_bound_nan", "upper_bound_infinite",
+        "upper_bound_negative_infinite", "eps_stop1_nan",
+        "eps_stop1_negative", "eps_stop2_infinite", "eps_stop3_nan"])
 def test_invalid_config_exits_1_without_outputs(tmp_path, overrides):
     with pytest.raises(ConfigError):
         parse_config(tiny_config(**overrides))

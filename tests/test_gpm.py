@@ -1,17 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import grid_step_maps, random_density
-from tqoc import dynamics
-from tqoc.controls import ConstraintSet, ControlGrid, constant_grid, contains
-from tqoc.dynamics import adjoint_subnodes, forward_subnodes, substep_counts
+from tqoc import dynamics, gpm
+from tqoc.controls import (ConstraintSet, ControlGrid, constant_grid, contains,
+                           project)
+from tqoc.dynamics import (adjoint_subnodes, forward_endpoint,
+                           forward_subnodes, substep_counts)
 from tqoc.errors import DivergedError
 from tqoc.gpm import (GPM1, GPM2, DecayingStep, FixedStep, GpmConfig,
                       first_iteration_equivalence_check)
 from tqoc.gpm import run as run_gpm
 from tqoc.model import embed_diagonal, realify
 from tqoc.objectives import (MAXIMIZE_OVERLAP, MINIMIZE_OVERLAP,
-                             SMOOTHED_DEVIATION, ObjectiveSpec)
+                             SMOOTHED_DEVIATION, ObjectiveSpec, evaluate,
+                             overlap, transversality)
+from tqoc.pmp import switching_interval_means
 
 
 def small_problem(matrices, kind=MAXIMIZE_OVERLAP):
@@ -39,6 +45,12 @@ def test_config_validation():
         GpmConfig(step=FixedStep(-1.0))
     with pytest.raises(ValueError):
         GpmConfig(step=FixedStep(1.0), max_iters=0)
+    # stop tolerances: 0.0 switches a rule off, NaN must not do so silently
+    for name in ("stop_tol_delta", "stop_tol_value", "stop_tol_deviation"):
+        GpmConfig(step=FixedStep(1.0), **{name: 0.0})
+        for value in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError):
+                GpmConfig(step=FixedStep(1.0), **{name: value})
 
 
 def test_zero_gradient_stops_immediately(matrices):
@@ -191,3 +203,149 @@ def test_report_records_non_monotone_steps(matrices):
     increases = [k for k in range(1, len(values))
                  if values[k] > values[k - 1]]
     assert report.non_monotone_steps == increases
+
+
+# ---------------------------------------------------------------------------
+# The single loop against the two-block form it replaced
+# ---------------------------------------------------------------------------
+
+def _two_block_run(m, spec, x0, c0, q, cfg):
+    """The optimizer as first written: the initial evaluation before the
+    loop, then a step and a candidate evaluation per pass.  Returns
+    (iterates, final control, stop reason, Cauchy count, non-monotone)."""
+    def smoothed_stop(value, overlap_value):
+        if spec.kind != SMOOTHED_DEVIATION:
+            return None
+        if value < cfg.stop_tol_value:
+            return gpm.STOP_SMOOTHED_VALUE
+        if abs(overlap_value - spec.setpoint) < cfg.stop_tol_deviation:
+            return gpm.STOP_DEVIATION
+        return None
+
+    x0 = np.asarray(x0, dtype=float)
+    control = c0
+    fwd = forward_subnodes(m, control, x0, substep_counts(m, control))
+    value = evaluate(fwd.end_state, spec)
+    j_value = overlap(fwd.end_state, spec)
+    if not np.isfinite(value):
+        raise DivergedError("objective is not finite at the initial control")
+    cauchy = 1
+    iterates = [gpm.IterationRecord(0, value, j_value, cauchy)]
+    non_monotone = []
+    reason = smoothed_stop(value, j_value)
+    if reason is not None:
+        return iterates, control, reason, cauchy, non_monotone
+
+    previous = None
+    reason = gpm.STOP_MAX_ITERS
+    for k in range(cfg.max_iters):
+        adj = adjoint_subnodes(m, control, transversality(fwd.end_state, spec),
+                               fwd.subs, fwd)
+        cauchy += 1
+        kbar = switching_interval_means(m, fwd, adj)
+        alpha = cfg.step.at(k)
+        samples = np.stack([control.u, control.n1, control.n2])
+        new = samples + alpha * kbar
+        if cfg.method == GPM2 and k > 0:
+            new = new + cfg.beta * (samples - previous)
+        candidate = project(ControlGrid(control.T, control.N, *new), q)
+
+        fwd_next = forward_subnodes(m, candidate, x0,
+                                    substep_counts(m, candidate))
+        cauchy += 1
+        value_next = evaluate(fwd_next.end_state, spec)
+        j_next = overlap(fwd_next.end_state, spec)
+        iterates.append(gpm.IterationRecord(k + 1, value_next, j_next, cauchy))
+        if not np.isfinite(value_next) or value_next > gpm._DIVERGENCE_CAP:
+            raise DivergedError(
+                f"objective reached {value_next!r} at iteration {k + 1}")
+        if value_next > value:
+            non_monotone.append(k + 1)
+        if abs(value_next - value) < cfg.stop_tol_delta:
+            stop = gpm.STOP_DELTA_OBJECTIVE
+        else:
+            stop = smoothed_stop(value_next, j_next)
+        previous, control, fwd = samples, candidate, fwd_next
+        value, j_value = value_next, j_next
+        if stop is not None:
+            reason = stop
+            break
+    return iterates, control, reason, cauchy, non_monotone
+
+
+def _smoothed_at_start(matrices):
+    """A smoothed-deviation problem whose setpoint is the initial overlap."""
+    spec, x0, c0 = small_problem(matrices)
+    j0 = overlap(forward_endpoint(matrices, c0, x0,
+                                  substep_counts(matrices, c0)), spec)
+    return ObjectiveSpec(SMOOTHED_DEVIATION, spec.target, setpoint=j0), x0, c0
+
+
+def _stationary(matrices):
+    return (ObjectiveSpec(MINIMIZE_OVERLAP,
+                          embed_diagonal((0.2, 0.2, 0.2, 0.4))),
+            embed_diagonal((1, 0, 0, 0)), constant_grid(2.0, 10))
+
+
+def _random_steering(matrices):
+    """A smoothed-deviation problem on which I rises at many iterations."""
+    rng = np.random.default_rng(31)
+    spec = ObjectiveSpec(SMOOTHED_DEVIATION, realify(random_density(rng)),
+                         setpoint=0.3)
+    x0 = realify(random_density(rng))
+    return spec, x0, ControlGrid(1.0, 10, 0.1 * rng.standard_normal(10),
+                                 np.zeros(10), np.zeros(10))
+
+
+@pytest.mark.parametrize("problem, cfg, reason", [
+    (small_problem, GpmConfig(GPM1, FixedStep(1e4), max_iters=8,
+                              stop_tol_delta=0.0), gpm.STOP_MAX_ITERS),
+    (small_problem, GpmConfig(GPM2, FixedStep(3e5), beta=0.95, max_iters=12,
+                              stop_tol_delta=0.0), gpm.STOP_MAX_ITERS),
+    (_random_steering, GpmConfig(GPM1, FixedStep(20.0), max_iters=24),
+     gpm.STOP_MAX_ITERS),
+    (_random_steering, GpmConfig(GPM1, DecayingStep(5.0, 1.5), max_iters=24),
+     gpm.STOP_MAX_ITERS),
+    (_random_steering, GpmConfig(GPM2, DecayingStep(5.0, 1.5), max_iters=24),
+     gpm.STOP_MAX_ITERS),
+    (small_problem, GpmConfig(GPM2, FixedStep(1e4), max_iters=200,
+                              stop_tol_delta=1e-6), gpm.STOP_DELTA_OBJECTIVE),
+    (_stationary, GpmConfig(GPM2, FixedStep(100.0)), gpm.STOP_DELTA_OBJECTIVE),
+    (_smoothed_at_start, GpmConfig(GPM2, FixedStep(1e4)),
+     gpm.STOP_SMOOTHED_VALUE),
+    (_smoothed_at_start, GpmConfig(GPM1, FixedStep(1e4), stop_tol_value=0.0),
+     gpm.STOP_DEVIATION),
+], ids=["gpm1_fixed", "gpm2_fixed", "gpm1_fixed_rising", "gpm1_decaying",
+        "gpm2_decaying", "delta_objective", "delta_objective_stationary",
+        "smoothed_value_k0", "deviation_k0"])
+def test_single_loop_matches_two_block_run(matrices, problem, cfg, reason):
+    spec, x0, c0 = problem(matrices)
+    q = ConstraintSet(u_min=-0.5, u_max=0.5, n_max=2.0)
+    report = run_gpm(matrices, spec, x0, c0, q, cfg)
+    iterates, control, stop, cauchy, non_monotone = _two_block_run(
+        matrices, spec, x0, c0, q, cfg)
+    assert report.stop_reason == stop == reason
+    assert report.iterates == iterates
+    assert report.cauchy_count == cauchy
+    assert report.non_monotone_steps == non_monotone
+    assert bool(non_monotone) == (problem is _random_steering)
+    for name in ("u", "n1", "n2"):
+        assert np.array_equal(
+            getattr(report.final_control, name).view(np.int64),
+            getattr(control, name).view(np.int64))
+
+
+def test_initial_objective_beyond_the_cap_diverges_at_iteration_0(
+        matrices, monkeypatch):
+    # the two-block run let an initial I above the cap through and raised
+    # one step (two solves) later; the loop checks every iterate alike
+    solves = []
+    monkeypatch.setattr(gpm, "forward_subnodes",
+                        lambda *a: solves.append(1) or forward_subnodes(*a))
+    spec = ObjectiveSpec(MAXIMIZE_OVERLAP, embed_diagonal((1, 0, 0, 0)),
+                         upper_bound=1e7)
+    c0 = constant_grid(1.0, 5)
+    with pytest.raises(DivergedError, match="at iteration 0"):
+        run_gpm(matrices, spec, embed_diagonal((0.25,) * 4), c0,
+                ConstraintSet(), GpmConfig(step=FixedStep(1.0)))
+    assert len(solves) == 1

@@ -2,19 +2,22 @@ import numpy as np
 import pytest
 
 from conftest import random_density
-from tqoc.controls import ControlGrid, constant_grid
-from tqoc.dynamics import (propagate_adjoint, propagate_forward,
-                           substep_counts, forward_endpoint,
-                           zero_control_adjoint)
+from tqoc.config import parse_config
+from tqoc.controls import ControlGrid, constant_grid, project
+from tqoc.dynamics import (_DP5_DIVISORS, _horner, forward_endpoint,
+                           propagate_adjoint, propagate_forward,
+                           substep_counts, zero_control_adjoint)
 from tqoc.errors import GridMismatchError
 from tqoc.model import SystemParams, build_system_matrices, embed_diagonal, realify
 from tqoc.objectives import (MAXIMIZE_OVERLAP, MINIMIZE_OVERLAP,
-                             ObjectiveSpec, evaluate)
+                             SQUARED_DEVIATION, ObjectiveSpec, evaluate,
+                             transversality)
 from tqoc.pmp import (COMPLETELY_MIXED, PURE_GROUND, PmpCaseConfig, gradient,
                       pmp_zero_control_condition,
                       stationary_zero_control_condition, switching,
                       switching_closed_form_mixed, switching_closed_form_pure,
                       verify_pmp_numerically)
+from tqoc.presets import PRESETS
 
 
 def _zero_control_pair(matrices, params, pops, b, sense, T, n):
@@ -232,3 +235,100 @@ def test_case_config_validation():
         PmpCaseConfig(PURE_GROUND, 0, (0.25,) * 4)
     with pytest.raises(ValueError):
         PmpCaseConfig(PURE_GROUND, 1, (0.5, 0.5, 0.5, -0.5))
+
+
+# ---------------------------------------------------------------------------
+# The exact derivative of the discrete objective, as an oracle
+# ---------------------------------------------------------------------------
+
+def exact_discrete_gradient(m, grid, spec, x0):
+    """dI/dc / dt of the objective the optimizer evaluates, shape (3, N).
+
+    On interval k with Z = h G_k (h = dt / subs[k]) and step map S = R(Z),
+    dI/dc = -h <B_c, L>, where L = L_R(Z^T, C) is the Frechet derivative of
+    the step polynomial R at Z^T in the direction C = sum_i p_{k,i+1}
+    x_{k,i}^T, read off the upper-right block of R([[Z^T, C], [0, Z^T]]).
+    The discrete adjoint p_{k,i} = S^T p_{k,i+1} starts from transversality.
+    """
+    subs = substep_counts(m, grid)
+    gens = (m.A + grid.u[:, None, None] * m.B_u
+            + grid.n1[:, None, None] * m.B_n1
+            + grid.n2[:, None, None] * m.B_n2)
+    zs = gens * (grid.dt / subs)[:, None, None]
+    steps = _horner(zs, _DP5_DIVISORS)
+    x = np.asarray(x0, dtype=float)
+    xs = []  # xs[k][i] = x_{k,i}
+    for k in range(grid.N):
+        xs.append([x])
+        for _ in range(subs[k]):
+            x = steps[k] @ x
+            xs[k].append(x)
+    p = transversality(x, spec)
+    blocks = np.zeros((grid.N, 32, 32))
+    for k in reversed(range(grid.N)):
+        for i in reversed(range(subs[k])):
+            blocks[k, :16, 16:] += np.outer(p, xs[k][i])
+            p = steps[k].T @ p
+        blocks[k, :16, :16] = blocks[k, 16:, 16:] = zs[k].T
+    frechet = _horner(blocks, _DP5_DIVISORS)[:, :16, 16:]
+    return np.stack([-np.einsum("ij,kij->k", b, frechet) / subs
+                     for b in (m.B_u, m.B_n1, m.B_n2)])
+
+
+def _normwise(approx, exact):
+    return np.max(np.abs(approx - exact)) / np.max(np.abs(exact))
+
+
+def test_exact_gradient_oracle_matches_a_four_point_stencil(matrices):
+    # at delta = 2e-3 the stencil resolves the discrete derivative to about
+    # 1e-11 where every interval takes at least 4 substeps (at 2 its own
+    # truncation, about 7e-10, limits it); the Simpson gradient is 1.2e-10
+    # off here, so the bound tells the two apart
+    rng = np.random.default_rng(41)
+    grid = ControlGrid(2.0, 4, rng.uniform(-1, 1, 4), rng.uniform(1, 2, 4),
+                       rng.uniform(1, 2, 4))
+    subs = substep_counts(matrices, grid)
+    assert subs.min() >= 4
+    x0 = realify(random_density(rng))
+    spec = ObjectiveSpec(MINIMIZE_OVERLAP, realify(random_density(rng)))
+    exact = exact_discrete_gradient(matrices, grid, spec, x0)
+    delta = 2e-3
+    samples = np.stack([grid.u, grid.n1, grid.n2])
+    fd = np.empty_like(samples)
+    for row in range(3):
+        for k in range(grid.N):
+            values = {}
+            for step in (-2, -1, 1, 2):
+                bumped = samples.copy()
+                bumped[row, k] += step * delta
+                end = forward_endpoint(
+                    matrices, ControlGrid(grid.T, grid.N, *bumped), x0, subs)
+                values[step] = evaluate(end, spec)
+            fd[row, k] = ((8.0 * (values[1] - values[-1])
+                           - (values[2] - values[-2]))
+                          / (12.0 * delta * grid.dt))
+    assert _normwise(fd, exact) < 5e-11
+
+
+@pytest.mark.parametrize("name", ["sec6_1", "sec6_3_v2_t05", "sec6_3_v1_t01"])
+def test_gradient_is_the_discrete_derivative_at_preset_starts(name):
+    config = parse_config(PRESETS[name])
+    m = build_system_matrices(config.system)
+    x0 = realify(config.rho0)
+    c0 = project(config.initial_controls, config.constraints)
+    exact = exact_discrete_gradient(m, c0, config.objective, x0)
+    assert _normwise(gradient(m, c0, config.objective, x0).grad, exact) < 1e-8
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gradient_is_the_discrete_derivative_on_random_grids(matrices, seed):
+    rng = np.random.default_rng(seed)
+    grid = ControlGrid(2.0, 8, rng.uniform(-1, 1, 8), rng.uniform(0, 2, 8),
+                       rng.uniform(0, 2, 8))
+    x0 = realify(random_density(rng))
+    target = realify(random_density(rng))
+    for spec in (ObjectiveSpec(MAXIMIZE_OVERLAP, target, upper_bound=1.0),
+                 ObjectiveSpec(SQUARED_DEVIATION, target, setpoint=0.3)):
+        exact = exact_discrete_gradient(matrices, grid, spec, x0)
+        assert _normwise(gradient(matrices, grid, spec, x0).grad,
+                         exact) < 1e-8

@@ -168,6 +168,9 @@ optimizers = st.builds(
     st.one_of(st.fixed_dictionaries({"alpha": step_values}),
               st.fixed_dictionaries({"alpha_hat": step_values,
                                      "sigma": step_values})))
+# Stop tolerances (and, below, the overlap bound): mostly plausible, plus
+# NaN, infinities and negatives, which must exit 1.
+tolerances = st.one_of(st.floats(0.0, 1e-2), st.floats())
 
 # Values that mostly parse, so that runs reach the optimizer and the writers.
 PLAUSIBLE = {
@@ -179,6 +182,10 @@ PLAUSIBLE = {
     ("initial_controls", "u"): st.floats(-1e6, 1e6),
     ("initial_controls", "n1"): st.floats(0.0, 1e6),
     ("optimizer",): optimizers,
+    ("objective", "upper_bound"): st.one_of(st.floats(0.5, 10.0), st.floats()),
+    ("optimizer", "eps_stop1"): tolerances,
+    ("optimizer", "eps_stop2"): tolerances,
+    ("optimizer", "eps_stop3"): tolerances,
 }
 
 

@@ -263,6 +263,7 @@ def _verify_gradient_fd(config, matrices):
         ControlGrid(horizon, n_fd, src.u[take], src.n1[take], src.n2[take]),
         config.constraints)
     x0 = realify(config.rho0)
+    target = config.objective.weighted_target
     subs = substep_counts(matrices, grid)
     result = pmp.gradient(matrices, grid, config.objective, x0)
     delta = 1e-5
@@ -276,7 +277,8 @@ def _verify_gradient_fd(config, matrices):
                 bumped = samples.copy()
                 bumped[row, k] += sign * delta
                 x_end = forward_endpoint(
-                    matrices, ControlGrid(grid.T, grid.N, *bumped), x0, subs)
+                    matrices.restrict_to(bumped[0], x0, target),
+                    ControlGrid(grid.T, grid.N, *bumped), x0, subs)
                 values.append(evaluate(x_end, config.objective))
             fd = (values[0] - values[1]) / (2.0 * delta * grid.dt)
             g = float(result.grad[row, k])

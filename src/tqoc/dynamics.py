@@ -8,10 +8,16 @@ both built once per distinct (u, n1, n2, subs) row and expanded to the
 intervals, then a serial chain.  On the optimizer path (Dormand-Prince
 5(4)) only the forward pass builds a control's step maps and propagators,
 and the adjoint pass reuses them; every sub-node sits in one
-(N, max(subs) + 1, 16) array that also supplies matched quadrature nodes.
+(N, max(subs) + 1, d) array that also supplies matched quadrature nodes.
 Post-run propagation on K = sub * N nodes applies one propagator per node
 span sub times, NODE_BLOCK intervals at a time; its ``rk4`` mode is
 classical RK4, a coarse cross-check.
+
+Everything runs in the dimension d of the matrices it is given.  On the
+pieces from ``SystemMatrices.restrict_to`` a solve works on the invariant
+slots of its start and target alone, and states become 16-vectors only
+where they leave this module: ``end_state``, ``at_breakpoints`` and the
+post-run trajectory, which restricts by its own start vector.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .errors import (BadTraceError, ConfigError, GridMismatchError,
                      NotDensityMatrixError)
 from .model import (DIAG_SLOTS, SystemMatrices, SystemParams, derealify,
                     state_trace)
-from .smallmat import hermitian_eigen
+from .smallmat import PSD_TOL, hermitian_eigen
 
 # Horner divisors, innermost first (acc = I + z acc / d): Dormand-Prince 5(4)
 # R(z) = 1 + z + ... + z^5/120 + z^6/600, and classical RK4 (Taylor-4).
@@ -65,10 +71,26 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 def _add_identity(mats: np.ndarray) -> np.ndarray:
-    """Add the identity to every matrix of a C-contiguous (n, d, d) stack."""
-    d = mats.shape[-1]
-    mats.reshape(len(mats), d * d)[:, ::d + 1] += 1.0
+    """Add the identity to every matrix of an (n, d, d) stack, in place and
+    in any memory layout: einsum's diagonal is a view of the stack."""
+    diagonals = np.einsum("kii->ki", mats)
+    diagonals += 1.0
     return mats
+
+
+def _restrict(v, slots: np.ndarray) -> np.ndarray:
+    """A 16-vector on the given slots, which must hold all its nonzeros."""
+    v = np.asarray(v, dtype=float)
+    if np.count_nonzero(v) != np.count_nonzero(v[slots]):
+        raise ValueError("vector has nonzeros outside the matrices' slots")
+    return v[slots]
+
+
+def _scatter(states: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """States on the given slots as 16-vectors, zero on the other slots."""
+    out = np.zeros(states.shape[:-1] + (16,))
+    out[..., slots] = states
+    return out
 
 
 def _horner(z: np.ndarray, divisors) -> np.ndarray:
@@ -86,7 +108,7 @@ def interval_step_matrices(m: SystemMatrices, h: np.ndarray, u: np.ndarray,
                            n1: np.ndarray, n2: np.ndarray,
                            divisors=_DP5_DIVISORS) -> np.ndarray:
     """Step maps R(h G) for step sizes h and control samples (u, n1, n2),
-    batched; shape (len(h), 16, 16).  Dormand-Prince 5(4) by default: five
+    batched; shape (len(h), d, d).  Dormand-Prince 5(4) by default: five
     batched products in Horner form.  The one step-map builder: ``_kernel``
     calls it once per solve or block, on the distinct interval rows.
 
@@ -94,7 +116,8 @@ def interval_step_matrices(m: SystemMatrices, h: np.ndarray, u: np.ndarray,
     """
     coeffs = np.stack([h, h * u, h * n1, h * n2], axis=1)
     basis = np.stack([m.A, m.B_u, m.B_n1, m.B_n2]).reshape(4, -1)
-    return _horner((coeffs @ basis).reshape(len(h), 16, 16), divisors)
+    d = len(m.A)
+    return _horner((coeffs @ basis).reshape(len(h), d, d), divisors)
 
 
 def substep_counts(m: SystemMatrices, grid: ControlGrid,
@@ -108,7 +131,7 @@ def substep_counts(m: SystemMatrices, grid: ControlGrid,
 
 
 def _interval_propagators(steps: np.ndarray, subs: np.ndarray) -> np.ndarray:
-    """P_k = S_k^subs[k] by batched binary powering; shape (N, 16, 16).
+    """P_k = S_k^subs[k] by batched binary powering; shape (N, d, d).
 
     Every interval squares its base on each bit; only intervals whose
     current bit is set multiply it into their product.
@@ -120,7 +143,8 @@ def _interval_propagators(steps: np.ndarray, subs: np.ndarray) -> np.ndarray:
         odd = (bits & 1).astype(bool)
         if prop is None:
             if odd.any():
-                prop = np.where(odd[:, None, None], base, np.eye(16))
+                prop = np.where(odd[:, None, None], base,
+                                np.eye(base.shape[-1]))
         elif odd.all():
             prop = prop @ base
         elif odd.any():
@@ -143,7 +167,7 @@ def _distinct_rows(grid: ControlGrid, subs: np.ndarray):
 
 def _kernel(m: SystemMatrices, grid: ControlGrid, subs: np.ndarray,
             divisors=_DP5_DIVISORS) -> tuple[np.ndarray, np.ndarray]:
-    """Step maps and propagators of every interval, (N, 16, 16) each, built
+    """Step maps and propagators of every interval, (N, d, d) each, built
     and powered once per distinct interval row, then expanded.
 
     h is grid.dt / subs: a grid rebuilt on the distinct rows could differ
@@ -165,7 +189,7 @@ def _forward_chain(props: np.ndarray, x0: np.ndarray,
                    reps: int = 1) -> np.ndarray:
     """x_{i+1} = P x_i, each P_k applied reps times in turn.  On the maps
     transposed in reverse order it runs the adjoint q_i = q_{i+1} P."""
-    out = np.empty((reps * len(props) + 1, 16))
+    out = np.empty((reps * len(props) + 1, len(x0)))
     out[0] = x0
     rows, maps = list(out), [p for p in props for _ in range(reps)]
     for p, x, y in zip(maps, rows, rows[1:]):
@@ -177,13 +201,14 @@ def _forward_chain(props: np.ndarray, x0: np.ndarray,
 class SubnodeStates:
     """Per-interval states on the fixed sub-grid, endpoints included.
 
-    ``states`` has shape (N, max(subs) + 1, 16).  Row ``[k, i]`` is sub-node
+    ``states`` has shape (N, max(subs) + 1, d), on the 16-vector ``slots``
+    of the matrices that built it.  Row ``[k, i]`` is sub-node
     i of interval k: row 0 sits on the breakpoint t_k and row subs[k] on
     t_{k+1}.  Rows past subs[k] repeat the interval's end state, so
     ``states[k, -1]`` is the same vector as ``states[k + 1, 0]``.  ``steps``
-    and ``props`` are the control's step maps and propagators, (N, 16, 16),
+    and ``props`` are the control's step maps and propagators, (N, d, d),
     built once per distinct (u, n1, n2, subs) row: repeated rows hold equal
-    copies.
+    copies.  ``end_state`` and ``at_breakpoints`` give 16-vectors.
     """
 
     grid: ControlGrid
@@ -191,14 +216,16 @@ class SubnodeStates:
     states: np.ndarray
     steps: np.ndarray
     props: np.ndarray
+    slots: np.ndarray
 
     @property
     def end_state(self) -> np.ndarray:
-        return self.states[-1, -1]
+        return _scatter(self.states[-1, -1], self.slots)
 
     def at_breakpoints(self) -> Trajectory:
         states = np.concatenate([self.states[:, 0], self.states[-1:, -1]])
-        return Trajectory(self.grid.breakpoints(), states)
+        return Trajectory(self.grid.breakpoints(),
+                          _scatter(states, self.slots))
 
 
 def forward_subnodes(m: SystemMatrices, grid: ControlGrid, x0: np.ndarray,
@@ -207,34 +234,35 @@ def forward_subnodes(m: SystemMatrices, grid: ControlGrid, x0: np.ndarray,
 
     Step maps and propagators are built once per control, one per distinct
     interval row, and kept for ``adjoint_subnodes``.  The propagator chain
-    gives the breakpoints and batched substeps fill the sub-nodes.  ``subs``
-    stays 4th, as in the other entry points, because perfbench/tracer.py
-    counts substeps there.
+    gives the breakpoints and batched substeps fill the sub-nodes.  The
+    16-vector x0 must vanish off ``m.slots``.  ``subs`` stays 4th, as in the
+    other entry points, because perfbench/tracer.py counts substeps there.
     """
     subs = np.asarray(subs)
     steps, props = _kernel(m, grid, subs)
-    ends = _forward_chain(props, np.asarray(x0, dtype=float))
+    ends = _forward_chain(props, _restrict(x0, m.slots))
     smax = int(subs.max())
-    states = np.empty((grid.N, smax + 1, 16))
+    states = np.empty((grid.N, smax + 1, len(m.slots)))
     states[:, 0] = ends[:-1]
     for i in range(1, smax):
         states[:, i] = np.einsum("kij,kj->ki", steps, states[:, i - 1])
     past = np.arange(smax + 1) >= subs[:, None]
     np.copyto(states, ends[1:, None, :], where=past[:, :, None])
-    return SubnodeStates(grid, subs, states, steps, props)
+    return SubnodeStates(grid, subs, states, steps, props, m.slots)
 
 
 def adjoint_subnodes(m: SystemMatrices, grid: ControlGrid, p_terminal: np.ndarray,
                      subs: np.ndarray, fwd: SubnodeStates) -> SubnodeStates:
     """Backward pass on the same sub-grid, stored t-ascending.  Builds
-    nothing: it applies ``fwd``'s maps transposed (R(hG)^T = R(hG^T))."""
+    nothing: it applies ``fwd``'s maps transposed (R(hG)^T = R(hG^T)), on
+    ``fwd``'s slots, off which the 16-vector p_terminal must vanish."""
     subs = np.asarray(subs)
     ends = _forward_chain(fwd.props.transpose(0, 2, 1)[::-1],
-                          np.asarray(p_terminal, dtype=float))[::-1]
+                          _restrict(p_terminal, fwd.slots))[::-1]
     smax = int(subs.max())
     # back is the adjoint j substeps before t_{k+1}, sub-node subs[k] - j of
     # interval k; rows from subs[k] on keep the end state, row 0 the chain's.
-    states = np.empty((grid.N, smax + 1, 16))
+    states = np.empty((grid.N, smax + 1, len(fwd.slots)))
     states[:] = ends[1:, None, :]
     back = ends[1:]
     for j in range(1, smax):
@@ -242,14 +270,15 @@ def adjoint_subnodes(m: SystemMatrices, grid: ControlGrid, p_terminal: np.ndarra
         rows = np.flatnonzero(subs > j)
         states[rows, subs[rows] - j] = back[rows]
     states[:, 0] = ends[:-1]
-    return SubnodeStates(grid, subs, states, fwd.steps, fwd.props)
+    return SubnodeStates(grid, subs, states, fwd.steps, fwd.props, fwd.slots)
 
 
 def forward_endpoint(m: SystemMatrices, grid: ControlGrid, x0: np.ndarray,
                      subs: np.ndarray) -> np.ndarray:
     """Final state only, on the same fixed sub-grid discretization."""
     props = _kernel(m, grid, subs)[1]
-    return _forward_chain(props, np.asarray(x0, dtype=float))[-1]
+    return _scatter(_forward_chain(props, _restrict(x0, m.slots))[-1],
+                    m.slots)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +306,9 @@ def propagate_adjoint(m: SystemMatrices, grid: ControlGrid, p_terminal: np.ndarr
 
 
 def _propagate(m, grid, start, K, method, adjoint):
+    """The chain on the invariant slots of the start vector, scattered to
+    16-vectors node block by node block; the start node is the start vector
+    itself, as on the full chain."""
     n = grid.N
     K = n if K is None else int(K)
     if K % n != 0:
@@ -285,10 +317,11 @@ def _propagate(m, grid, start, K, method, adjoint):
         raise ValueError(f"unknown integrator {method!r}")
     sub, span = K // n, grid.T / K
     try:
-        states = np.empty((K + 1, 16))
+        states = np.zeros((K + 1, 16))
     except (ValueError, MemoryError) as exc:  # beyond address space or RAM
         raise ConfigError(f"K={K}: no room for {K + 1} nodes: {exc}") from exc
-    x = start
+    m = m.restrict_to(grid.u, start)
+    x = _restrict(start, m.slots)
     lows = range(0, n, NODE_BLOCK)
     for lo in (reversed(lows) if adjoint else lows):
         hi = min(lo + NODE_BLOCK, n)
@@ -307,7 +340,9 @@ def _propagate(m, grid, start, K, method, adjoint):
             props = props.transpose(0, 2, 1)[::-1]
         chain = _forward_chain(props, x, reps=sub)
         x = chain[-1]
-        states[lo * sub:hi * sub + 1] = chain[::-1] if adjoint else chain
+        states[lo * sub:hi * sub + 1, m.slots] = (chain[::-1] if adjoint
+                                                  else chain)
+    states[-1 if adjoint else 0] = start  # its zeros keep their signs
     return Trajectory(np.linspace(0.0, grid.T, K + 1), states)
 
 
@@ -321,7 +356,7 @@ def _decay_rates(params: SystemParams) -> tuple[float, float]:
 
 def _populations(values, name: str):
     a = np.asarray(values, dtype=float)
-    if a.shape != (4,) or np.any(a < -1e-12) or abs(a.sum() - 1.0) > 1e-9:
+    if a.shape != (4,) or np.any(a < -PSD_TOL) or abs(a.sum() - 1.0) > 1e-9:
         raise NotDensityMatrixError(
             f"{name} must be nonnegative and sum to 1")
     return (float(v) for v in a)

@@ -136,10 +136,12 @@ def run(m: SystemMatrices, spec: ObjectiveSpec, x0: np.ndarray,
     iterates: list = []
     control, samples = c0, None
     for k in range(cfg.max_iters + 1):
+        # each control is solved on the invariant slots of x0 and the target
+        part = m.restrict_to(control.u, x0, spec.weighted_target)
         # the heap layout sets the page faults, so adj (which also holds the
         # last fwd's steps and props) and the last two samples stay bound
         # across this solve; with adj freed first, glibc trims and regrows
-        fwd = forward_subnodes(m, control, x0, substep_counts(m, control))
+        fwd = forward_subnodes(part, control, x0, substep_counts(m, control))
         value = evaluate(fwd.end_state, spec)
         j_value = overlap(fwd.end_state, spec)
         # 2k + 1 Cauchy problems so far: k + 1 forward solves, k adjoints
@@ -157,9 +159,10 @@ def run(m: SystemMatrices, spec: ObjectiveSpec, x0: np.ndarray,
             return GpmReport(iterates, control, fwd.at_breakpoints(), reason)
 
         previous = samples
-        adj = adjoint_subnodes(m, control, transversality(fwd.end_state, spec),
-                               fwd.subs, fwd)
-        kbar = switching_interval_means(m, fwd, adj)  # minus the gradient
+        adj = adjoint_subnodes(part, control,
+                               transversality(fwd.end_state, spec), fwd.subs,
+                               fwd)
+        kbar = switching_interval_means(part, fwd, adj)  # minus the gradient
         samples = np.stack([control.u, control.n1, control.n2])
         new = samples + cfg.step.at(k) * kbar
         if cfg.method == GPM2 and k > 0:

@@ -151,8 +151,9 @@ def state_trace(x: np.ndarray) -> float:
 
 def lindblad_rhs(rho: np.ndarray, u: float, n1: float, n2: float,
                  params: SystemParams) -> np.ndarray:
-    """Right-hand side of the master equation at a single control value."""
-    rho = require_hermitian(rho)
+    """Right-hand side of the master equation at a single control value, for
+    one density matrix or a (..., 4, 4) stack."""
+    rho = require_hermitian_stack(rho)
     p = params
     h = (
         (0.5 * p.omega1 + p.epsilon * p.Lambda1 * n1) * _Z[0]
@@ -169,44 +170,88 @@ def lindblad_rhs(rho: np.ndarray, u: float, n1: float, n2: float,
     return out
 
 
+_PIECES = ("A", "B_u", "B_n1", "B_n2")
+
+
+def _components(*mats) -> np.ndarray:
+    """Label of each slot in the joint sparsity graph of square matrices
+    (an edge wherever an entry is exactly nonzero, either direction): the
+    first slot of its connected component."""
+    reach = np.eye(len(mats[0]), dtype=bool)
+    for a in mats:
+        reach |= (a != 0) | (a != 0).T
+    while True:
+        grown = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if np.array_equal(grown, reach):
+            return np.argmax(reach, axis=1)
+        reach = grown
+
+
 @dataclass(frozen=True)
 class SystemMatrices:
-    """Realified generator pieces: x' = (A + B_u u + B_n1 n1 + B_n2 n2) x,
-    with their max-row-sum ``norms`` for ``dynamics.substep_counts``."""
+    """Realified generator pieces: x' = (A + B_u u + B_n1 n1 + B_n2 n2) x.
+
+    Kept with them: the max-row-sum ``norms`` for ``dynamics.substep_counts``
+    and two ``partitions`` of the slots into invariant components, the joint
+    sparsity components of (A, B_n1, B_n2) and of all four pieces.  ``slots``
+    are the 16-vector slots the rows stand for: all of them for the full
+    generator, fewer for a ``restrict_to`` result, which keeps its parent's
+    norms.
+    """
 
     A: np.ndarray
     B_u: np.ndarray
     B_n1: np.ndarray
     B_n2: np.ndarray
-    norms: tuple = field(init=False, repr=False, compare=False)
+    slots: np.ndarray | None = field(default=None, repr=False, compare=False)
+    norms: tuple | None = field(default=None, repr=False, compare=False)
+    partitions: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        norms = tuple(float(np.max(np.sum(np.abs(a), axis=1)))
-                      for a in (self.A, self.B_u, self.B_n1, self.B_n2))
-        object.__setattr__(self, "norms", norms)
+        pieces = [np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+                  for name in _PIECES]
+        for name, a in zip(_PIECES, pieces):
+            object.__setattr__(self, name, a)
+        a, b_u, b_n1, b_n2 = pieces
+        if self.slots is None:
+            object.__setattr__(self, "slots", np.arange(len(a)))
+        if self.norms is None:
+            object.__setattr__(self, "norms", tuple(
+                float(np.max(np.sum(np.abs(p), axis=1))) for p in pieces))
+        if self.partitions is None:
+            object.__setattr__(self, "partitions", (
+                _components(a, b_n1, b_n2), _components(a, b_u, b_n1, b_n2)))
 
     def generator(self, u: float, n1: float, n2: float) -> np.ndarray:
         return self.A + u * self.B_u + n1 * self.B_n1 + n2 * self.B_n2
+
+    def restrict_to(self, u: np.ndarray, *vectors) -> SystemMatrices:
+        """The pieces on the union of the invariant components that touch the
+        exact nonzeros of the 16-vectors, with B_u's couplings if any coherent
+        sample in ``u`` is nonzero.  The norms stay the parent's, so the
+        substep counts do not change."""
+        labels = self.partitions[bool(np.asarray(u).any())]
+        held = (np.asarray(vectors) != 0).any(axis=0)[self.slots]
+        touched = np.zeros(labels.max() + 1, dtype=bool)
+        touched[labels[held]] = True
+        keep = np.flatnonzero(touched[labels])
+        sub = np.ix_(keep, keep)
+        return SystemMatrices(
+            self.A[sub], self.B_u[sub], self.B_n1[sub], self.B_n2[sub],
+            self.slots[keep], self.norms,
+            tuple(p[keep] for p in self.partitions))
 
 
 def build_system_matrices(params: SystemParams) -> SystemMatrices:
     """Assemble A, B_u, B_n1, B_n2 by probing the complex generator.
 
     The right-hand side is affine in (u, n1, n2) and linear in x, so probing
-    the 16 basis vectors at controls (0,0,0), (1,0,0), (0,1,0), (0,0,1) and
-    differencing recovers the matrices exactly.
+    the 16 basis vectors, as one stack, at controls (0,0,0), (1,0,0),
+    (0,1,0), (0,0,1) and differencing recovers the matrices exactly: row j
+    of a probe is the image of basis vector j, column j of the matrix.
     """
-    a = np.zeros((16, 16))
-    b_u = np.zeros((16, 16))
-    b_n1 = np.zeros((16, 16))
-    b_n2 = np.zeros((16, 16))
-    for j in range(16):
-        e = np.zeros(16)
-        e[j] = 1.0
-        rho_j = derealify(e)
-        base = realify_raw(lindblad_rhs(rho_j, 0.0, 0.0, 0.0, params))
-        a[:, j] = base
-        b_u[:, j] = realify_raw(lindblad_rhs(rho_j, 1.0, 0.0, 0.0, params)) - base
-        b_n1[:, j] = realify_raw(lindblad_rhs(rho_j, 0.0, 1.0, 0.0, params)) - base
-        b_n2[:, j] = realify_raw(lindblad_rhs(rho_j, 0.0, 0.0, 1.0, params)) - base
-    return SystemMatrices(a, b_u, b_n1, b_n2)
+    basis = derealify(np.eye(16))
+    base = realify_raw(lindblad_rhs(basis, 0.0, 0.0, 0.0, params))
+    probes = [realify_raw(lindblad_rhs(basis, *c, params)) - base
+              for c in np.eye(3)]
+    return SystemMatrices(*(p.T for p in [base] + probes))

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import NotDensityMatrixError
 from .model import state_trace
-from .smallmat import hermitian_eigen, require_hermitian
+from .smallmat import PSD_TOL, hermitian_eigen, require_hermitian
 
 MAXIMIZE_OVERLAP = "maximize_overlap"
 MINIMIZE_OVERLAP = "minimize_overlap"
@@ -129,6 +129,6 @@ def overlap_bounds(rho_target: np.ndarray) -> OverlapBounds:
     if abs(float(np.trace(rho).real) - 1.0) > 1e-9:
         raise NotDensityMatrixError("target trace is not 1")
     w = hermitian_eigen(rho).eigenvalues
-    if float(w[0]) < -1e-10:
+    if float(w[0]) < -PSD_TOL:
         raise NotDensityMatrixError("target has a negative eigenvalue")
     return OverlapBounds(float(w[0]), float(w[-1]))

@@ -21,6 +21,7 @@ from .dynamics import (SubnodeStates, Trajectory, adjoint_subnodes,
 from .errors import GridMismatchError
 from .model import SystemMatrices, SystemParams, build_system_matrices, embed_diagonal
 from .objectives import ObjectiveSpec, evaluate, overlap, transversality
+from .smallmat import PSD_TOL
 
 PURE_GROUND = "pure_ground"
 COMPLETELY_MIXED = "completely_mixed"
@@ -68,13 +69,15 @@ def switching_interval_means(m: SystemMatrices, fwd: SubnodeStates,
                              adj: SubnodeStates) -> np.ndarray:
     """Interval averages of (K_u, K_n1, K_n2); shape (3, N).
 
-    The Simpson mean of <p, B x> over interval k is the Frobenius product of
-    B with M_k = sum_i W[k, i] p_{k,i} x_{k,i}^T, so one batched product
-    forms every M_k and one (N, 256) x (256, 3) contraction takes all three
-    channels at once.  That contraction is an einsum, not a BLAS product:
-    fused multiply-adds would leave a rounding residue where terms cancel
-    exactly, and a stationary zero control would no longer be a fixed point
-    of the projected update.
+    ``m`` holds the pieces on the solve's slots, as passed to
+    ``forward_subnodes``: the states vanish off those slots, so only that
+    block of each B enters.  The Simpson mean of <p, B x> over interval k is
+    the Frobenius product of B with M_k = sum_i W[k, i] p_{k,i} x_{k,i}^T, so
+    one batched product forms every M_k and one (N, d^2) x (d^2, 3)
+    contraction takes all three channels at once.  That contraction is an
+    einsum, not a BLAS product: fused multiply-adds would leave a rounding
+    residue where terms cancel exactly, and a stationary zero control would
+    no longer be a fixed point of the projected update.
     """
     weighted = adj.states * _simpson_table(fwd.subs)[:, :, None]
     outer = np.matmul(weighted.transpose(0, 2, 1), fwd.states)
@@ -100,16 +103,17 @@ def gradient(m: SystemMatrices, grid: ControlGrid, spec: ObjectiveSpec,
     The per-interval gradient components are minus the interval-averaged
     switching functions (Simpson quadrature on the shared sub-grid), i.e.
     exactly the derivative of I with respect to each piecewise-constant
-    sample divided by the interval length.
+    sample divided by the interval length.  Both solves run on the invariant
+    slots of x0 and the target (``SystemMatrices.restrict_to``).
     """
-    fwd = forward_subnodes(m, grid, np.asarray(x0, dtype=float),
-                           substep_counts(m, grid))
+    part = m.restrict_to(grid.u, x0, spec.weighted_target)
+    fwd = forward_subnodes(part, grid, x0, substep_counts(m, grid))
     x_final = fwd.end_state
     value = evaluate(x_final, spec)
     j_value = overlap(x_final, spec)
-    adj = adjoint_subnodes(m, grid, transversality(x_final, spec), fwd.subs,
-                           fwd)
-    grad = -switching_interval_means(m, fwd, adj)
+    adj = adjoint_subnodes(part, grid, transversality(x_final, spec),
+                           fwd.subs, fwd)
+    grad = -switching_interval_means(part, fwd, adj)
     return GradientResult(grad, value, j_value, fwd.at_breakpoints(),
                           adj.at_breakpoints())
 
@@ -168,7 +172,7 @@ class PmpCaseConfig:
         if self.sense not in (1, -1):
             raise ValueError("sense must be +1 or -1")
         b = tuple(float(v) for v in self.target_diag)
-        if len(b) != 4 or any(v < -self.eq_tol for v in b):
+        if len(b) != 4 or any(v < -PSD_TOL for v in b):
             raise ValueError("target_diag must be four nonnegative values")
         if abs(sum(b) - 1.0) > max(self.eq_tol, 1e-9):
             raise ValueError("target_diag must lie on the simplex")

@@ -462,6 +462,22 @@ def test_overflowing_step_decay_runs_on_zero_steps(tmp_path):
     assert code in (0, 2)
 
 
+def test_target_entry_within_the_parse_tolerance_runs_and_verifies(tmp_path):
+    # the parser, the PMP cases and the closed forms share one tolerance, so
+    # a target entry of -5e-11 neither ends the run in a traceback nor makes
+    # verify report a numeric failure
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(tiny_config(
+        rho_target=[0.7 + 5e-11, 0.2, 0.1, -5e-11])))
+    for command, report_name in (("run", "report.json"),
+                                 ("verify", "verification_report.json")):
+        out = tmp_path / command
+        assert main(["--quiet", command, str(config_path), "--out",
+                     str(out)]) == 0
+        report = json.loads((out / report_name).read_text())
+        assert report["pmp"]["applicable"] is True
+
+
 def test_verify_negative_population_exits_2(tmp_path):
     # within the PSD tolerance of the parser, beyond that of the closed forms
     config_path = tmp_path / "config.json"

@@ -18,6 +18,13 @@ from tqoc.model import derealify, embed_diagonal, realify
 from tqoc.pmp import switching_interval_means
 
 
+def test_add_identity_on_a_stack_that_is_not_c_contiguous():
+    mats = np.random.default_rng(9).normal(size=(3, 5, 5)).transpose(0, 2, 1)
+    expected = mats + np.eye(5)
+    assert dynamics._add_identity(mats) is mats
+    assert np.array_equal(mats, expected)
+
+
 def test_singular_point_is_constant(matrices):
     grid = constant_grid(12.0, 60)
     traj = propagate_forward(matrices, grid, embed_diagonal((1, 0, 0, 0)))

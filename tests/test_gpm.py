@@ -222,9 +222,13 @@ def _two_block_run(m, spec, x0, c0, q, cfg):
             return gpm.STOP_DEVIATION
         return None
 
+    def part(control):  # the pieces gpm.run solves a control on
+        return m.restrict_to(control.u, x0, spec.weighted_target)
+
     x0 = np.asarray(x0, dtype=float)
     control = c0
-    fwd = forward_subnodes(m, control, x0, substep_counts(m, control))
+    fwd = forward_subnodes(part(control), control, x0,
+                           substep_counts(m, control))
     value = evaluate(fwd.end_state, spec)
     j_value = overlap(fwd.end_state, spec)
     if not np.isfinite(value):
@@ -239,10 +243,11 @@ def _two_block_run(m, spec, x0, c0, q, cfg):
     previous = None
     reason = gpm.STOP_MAX_ITERS
     for k in range(cfg.max_iters):
-        adj = adjoint_subnodes(m, control, transversality(fwd.end_state, spec),
-                               fwd.subs, fwd)
+        adj = adjoint_subnodes(part(control), control,
+                               transversality(fwd.end_state, spec), fwd.subs,
+                               fwd)
         cauchy += 1
-        kbar = switching_interval_means(m, fwd, adj)
+        kbar = switching_interval_means(part(control), fwd, adj)
         alpha = cfg.step.at(k)
         samples = np.stack([control.u, control.n1, control.n2])
         new = samples + alpha * kbar
@@ -250,7 +255,7 @@ def _two_block_run(m, spec, x0, c0, q, cfg):
             new = new + cfg.beta * (samples - previous)
         candidate = project(ControlGrid(control.T, control.N, *new), q)
 
-        fwd_next = forward_subnodes(m, candidate, x0,
+        fwd_next = forward_subnodes(part(candidate), candidate, x0,
                                     substep_counts(m, candidate))
         cauchy += 1
         value_next = evaluate(fwd_next.end_state, spec)

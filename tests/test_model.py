@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import random_density, random_hermitian
 from tqoc.errors import BadTraceError, NotHermitianError
-from tqoc.model import (DIAG_SLOTS, SystemParams, V1, V2,
+from tqoc.model import (DIAG_SLOTS, SystemMatrices, SystemParams, V1, V2,
                         build_system_matrices, derealify, embed_diagonal,
                         lindblad_rhs, realify, realify_raw)
+
+PIECES = ("A", "B_u", "B_n1", "B_n2")
 
 
 def test_realify_pure_ground():
@@ -138,3 +140,61 @@ def test_roundtrip_single_vectors_and_stacks():
     assert np.array_equal(realify(derealify(stacked)), stacked)
     for k in range(12):
         assert np.array_equal(rho[k], derealify(states[k]))
+
+
+def per_basis_probes(params):
+    """A, B_u, B_n1, B_n2 from one lindblad_rhs call per basis matrix and
+    control probe: the oracle of the batched build."""
+    a, b_u, b_n1, b_n2 = (np.zeros((16, 16)) for _ in range(4))
+    for j in range(16):
+        e = np.zeros(16)
+        e[j] = 1.0
+        rho_j = derealify(e)
+        base = realify_raw(lindblad_rhs(rho_j, 0.0, 0.0, 0.0, params))
+        a[:, j] = base
+        b_u[:, j] = realify_raw(lindblad_rhs(rho_j, 1.0, 0.0, 0.0, params)) - base
+        b_n1[:, j] = realify_raw(lindblad_rhs(rho_j, 0.0, 1.0, 0.0, params)) - base
+        b_n2[:, j] = realify_raw(lindblad_rhs(rho_j, 0.0, 0.0, 1.0, params)) - base
+    return a, b_u, b_n1, b_n2
+
+
+@pytest.mark.parametrize("interaction", ["V1", "V2", "random"])
+def test_batched_build_matches_per_basis_probes(interaction):
+    kwargs = {}
+    if interaction == "random":
+        interaction = random_hermitian(np.random.default_rng(8))
+        kwargs = dict(epsilon=0.37, omega1=1.3, Omega2=0.9, Lambda1=0.2)
+    params = SystemParams(interaction=interaction, **kwargs)
+    got = build_system_matrices(params)
+    for name, ref in zip(PIECES, per_basis_probes(params)):
+        piece = getattr(got, name)
+        assert piece.flags.c_contiguous and piece.dtype == np.float64
+        # values and zero signs, bit for bit
+        assert np.array_equal(piece.view(np.int64), ref.view(np.int64))
+
+
+def _block_sizes(labels):
+    return sorted(np.unique(labels, return_counts=True)[1].tolist())
+
+
+def test_partitions_pin_the_invariant_blocks(matrices, matrices_v2):
+    for m in (matrices, matrices_v2):
+        without_u = m.partitions[0]
+        assert _block_sizes(without_u) == [2, 2, 4, 4, 4]
+        # the populations form one of the 4-blocks
+        block = np.flatnonzero(without_u == without_u[DIAG_SLOTS[0]])
+        assert tuple(block) == DIAG_SLOTS
+    assert _block_sizes(matrices.partitions[1]) == [16]
+    assert _block_sizes(matrices_v2.partitions[1]) == [8, 8]
+
+
+def test_system_matrices_store_c_contiguous_float64(matrices):
+    transposed = SystemMatrices(*(getattr(matrices, name).T.copy().T
+                                  for name in PIECES))
+    for name in PIECES:
+        piece = getattr(transposed, name)
+        assert piece.flags.c_contiguous and piece.dtype == np.float64
+        assert np.array_equal(piece, getattr(matrices, name))
+    assert transposed.norms == matrices.norms
+    ints = SystemMatrices(*(np.eye(3, dtype=int) for _ in PIECES))
+    assert ints.A.dtype == np.float64 and ints.A.flags.c_contiguous

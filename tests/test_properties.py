@@ -171,6 +171,10 @@ optimizers = st.builds(
 # Stop tolerances (and, below, the overlap bound): mostly plausible, plus
 # NaN, infinities and negatives, which must exit 1.
 tolerances = st.one_of(st.floats(0.0, 1e-2), st.floats())
+# Diagonal targets with entries in [-1e-10, 0]: within the parser's PSD
+# tolerance, so they must run like any other target.
+edge_targets = st.builds(lambda a, b: [0.7 - a - b, 0.3, a, b],
+                         st.floats(-1e-10, 0.0), st.floats(-1e-10, 0.0))
 
 # Values that mostly parse, so that runs reach the optimizer and the writers.
 PLAUSIBLE = {
@@ -186,6 +190,7 @@ PLAUSIBLE = {
     ("optimizer", "eps_stop1"): tolerances,
     ("optimizer", "eps_stop2"): tolerances,
     ("optimizer", "eps_stop3"): tolerances,
+    ("rho_target",): edge_targets,
 }
 
 

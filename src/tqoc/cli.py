@@ -270,6 +270,8 @@ def _verify_gradient_fd(config, matrices):
     max_rel = 0.0
     max_abs_small = 0.0
     samples = np.stack([grid.u, grid.n1, grid.n2])
+    # the restriction depends on u only through whether it is all zero
+    pieces = {c: matrices.restrict_to([c], x0, target) for c in (False, True)}
     for row in range(3):
         for k in range(n_fd):
             values = []
@@ -277,7 +279,7 @@ def _verify_gradient_fd(config, matrices):
                 bumped = samples.copy()
                 bumped[row, k] += sign * delta
                 x_end = forward_endpoint(
-                    matrices.restrict_to(bumped[0], x0, target),
+                    pieces[bool(bumped[0].any())],
                     ControlGrid(grid.T, grid.N, *bumped), x0, subs)
                 values.append(evaluate(x_end, config.objective))
             fd = (values[0] - values[1]) / (2.0 * delta * grid.dt)

@@ -5,13 +5,15 @@ constant, so a Runge-Kutta step is a fixed polynomial in z = h G.  One
 kernel serves every caller, with no adaptive step control: batched Horner
 step maps and interval propagators R^subs[k] by batched binary powering,
 both built once per distinct (u, n1, n2, subs) row and expanded to the
-intervals, then a serial chain.  On the optimizer path (Dormand-Prince
-5(4)) only the forward pass builds a control's step maps and propagators,
-and the adjoint pass reuses them; every sub-node sits in one
-(N, max(subs) + 1, d) array that also supplies matched quadrature nodes.
-Post-run propagation on K = sub * N nodes applies one propagator per node
-span sub times, NODE_BLOCK intervals at a time; its ``rk4`` mode is
-classical RK4, a coarse cross-check.
+intervals, then one chain of the propagators: blocked (a two-level prefix
+scan) where the state dimension d is at most 8, serial above.  The adjoint
+runs the same chain on the transposed maps in reverse order.  On the
+optimizer path (Dormand-Prince 5(4)) only the forward pass builds a
+control's step maps and propagators, and the adjoint pass reuses them;
+every sub-node sits in one (N, max(subs) + 1, d) array that also supplies
+matched quadrature nodes.  Post-run propagation on K = sub * N nodes
+applies one propagator per node span sub times, NODE_BLOCK intervals at a
+time; its ``rk4`` mode is classical RK4, a coarse cross-check.
 
 Everything runs in the dimension d of the matrices it is given.  On the
 pieces from ``SystemMatrices.restrict_to`` a solve works on the invariant
@@ -47,6 +49,10 @@ _SUBSTEP_MIN = 2
 _SUBSTEP_MAX = 64
 _PROPAGATE_SUBSTEP_MAX = 2 ** 20
 
+# Largest state dimension whose chain runs in blocks: at d = 16 the batched
+# d^3 products cost more than the serial chain's call overhead saves.
+_BLOCKED_MAX_DIM = 8
+
 # Intervals or nodes per batch in the post-run work (here and in
 # diagnostics.compute_rows): bounds the temporaries at no cost in speed.
 NODE_BLOCK = 256
@@ -67,7 +73,7 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# The polynomial kernel: step maps, interval propagators, serial chains
+# The polynomial kernel: step maps, interval propagators, chains
 # ---------------------------------------------------------------------------
 
 def _add_identity(mats: np.ndarray) -> np.ndarray:
@@ -188,13 +194,52 @@ def _kernel(m: SystemMatrices, grid: ControlGrid, subs: np.ndarray,
 def _forward_chain(props: np.ndarray, x0: np.ndarray,
                    reps: int = 1) -> np.ndarray:
     """x_{i+1} = P x_i, each P_k applied reps times in turn.  On the maps
-    transposed in reverse order it runs the adjoint q_i = q_{i+1} P."""
-    out = np.empty((reps * len(props) + 1, len(x0)))
+    transposed in reverse order it runs the adjoint q_i = q_{i+1} P.
+
+    Above _BLOCKED_MAX_DIM a serial chain of matvecs.  At or below it a
+    d x d product costs little more than a matvec's call overhead, so the
+    chain runs blocked (``_blocked_chain``) on the interval propagators
+    P_k^reps, and reps - 1 batched matvecs fill the nodes inside the
+    intervals: the temporaries stay about the size of the (N, d, d) maps.
+    """
+    n, d = len(props), len(x0)
+    out = np.empty((reps * n + 1, d))
     out[0] = x0
-    rows, maps = list(out), [p for p in props for _ in range(reps)]
-    for p, x, y in zip(maps, rows, rows[1:]):
-        np.dot(p, x, out=y)
+    if d > _BLOCKED_MAX_DIM:
+        rows, maps = list(out), [p for p in props for _ in range(reps)]
+        for p, x, y in zip(maps, rows, rows[1:]):
+            np.dot(p, x, out=y)
+        return out
+    spans = (props if reps == 1
+             else _interval_propagators(props, np.full(n, reps)))
+    out[reps::reps] = _blocked_chain(spans, x0)
+    for r in range(1, reps):
+        np.einsum("kij,kj->ki", props, out[r - 1:-1:reps],
+                  out=out[r::reps])
     return out
+
+
+def _blocked_chain(maps: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """x_1..x_n of x_{k+1} = M_k x_k as a two-level prefix scan (Blelloch,
+    CMU-CS-90-190, 1990) on blocks of isqrt(n) maps: the prefix products of
+    every block at once, one batched product per position in a block; a
+    serial chain over the block ends; then every state as one batched
+    product of a block prefix with its block's start state."""
+    n, d = len(maps), len(x0)
+    size = math.isqrt(n)
+    blocks = -(-n // size)
+    prefix = np.zeros((blocks, size, d, d))  # the last block may be short
+    prefix[:, 0] = maps[::size]
+    for i in range(1, size):
+        k = len(maps[i::size])
+        np.matmul(maps[i::size], prefix[:k, i - 1], out=prefix[:k, i])
+    starts = np.empty((blocks, d))
+    starts[0] = x0
+    for j in range(blocks - 1):
+        np.dot(prefix[j, -1], starts[j], out=starts[j + 1])
+    # one (size * d, d) by d product per block, not one matvec per state
+    states = prefix.reshape(blocks, size * d, d) @ starts[:, :, None]
+    return states.reshape(blocks * size, d)[:n]
 
 
 @dataclass(frozen=True)

@@ -264,6 +264,21 @@ def test_criterion_3_cauchy_count_band(sec61):
                  f"count = {count}")
 
 
+PRESET_CAUCHY_COUNTS = {"sec6_1": 417, "sec6_2": 1201, "sec6_3_v1_t05": 171,
+                        "sec6_3_v1_t01": 361, "sec6_3_v2_t05": 365,
+                        "sec6_3_v2_t01": 187}
+
+
+def test_preset_cauchy_counts_are_pinned(sec61, sec62, sec63):
+    # The counts are part of the behaviour: a change of rounding in the
+    # kernel that moves one must show here, not only in a band.
+    counts = {"sec6_1": sec61["gpm2"].cauchy_count,
+              "sec6_2": sec62["report"].cauchy_count}
+    counts.update((name, sec63[name]["report"].cauchy_count)
+                  for name in SEC63_CASES)
+    assert counts == PRESET_CAUCHY_COUNTS
+
+
 # --------------------------------------------------------------------------
 # criterion 4: overlap maximization onto the pure target
 # --------------------------------------------------------------------------

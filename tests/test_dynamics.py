@@ -7,6 +7,7 @@ import scipy.linalg
 from conftest import grid_step_maps, random_density
 
 from tqoc import dynamics
+from tqoc.config import parse_config
 from tqoc.controls import ControlGrid, constant_grid
 from tqoc.dynamics import (Trajectory, adjoint_subnodes, forward_endpoint,
                            forward_subnodes, min_state_eigenvalue,
@@ -14,8 +15,10 @@ from tqoc.dynamics import (Trajectory, adjoint_subnodes, forward_endpoint,
                            substep_counts, trace_drift, zero_control_adjoint,
                            zero_control_state)
 from tqoc.errors import BadTraceError, GridMismatchError
-from tqoc.model import derealify, embed_diagonal, realify
+from tqoc.model import (build_system_matrices, derealify, embed_diagonal,
+                        realify)
 from tqoc.pmp import switching_interval_means
+from tqoc.presets import PRESETS
 
 
 def test_add_identity_on_a_stack_that_is_not_c_contiguous():
@@ -464,7 +467,8 @@ def per_interval_kernel(m, grid, subs, divisors=dynamics._DP5_DIVISORS):
 
 
 def indexed_forward_chain(props, x0, reps=1):
-    out = np.empty((reps * len(props) + 1, 16))
+    out = np.empty((reps * len(props) + 1, len(x0)),
+                   np.result_type(props, x0))
     out[0] = x0
     for i in range(len(out) - 1):
         out[i + 1] = props[i // reps] @ out[i]
@@ -473,7 +477,8 @@ def indexed_forward_chain(props, x0, reps=1):
 
 def indexed_adjoint_chain(props, p_terminal, reps=1):
     n = reps * len(props)
-    out = np.empty((n + 1, 16))
+    out = np.empty((n + 1, len(p_terminal)),
+                   np.result_type(props, p_terminal))
     out[n] = p_terminal
     for i in range(n - 1, -1, -1):
         out[i] = out[i + 1] @ props[i // reps]
@@ -620,3 +625,62 @@ def test_kernel_builds_one_map_per_distinct_row(matrices, monkeypatch):
     propagate_forward(matrices, constant_grid(3.0, dynamics.NODE_BLOCK + 5),
                       x0, method="rk4")
     assert built == [1, 1]
+
+
+# ---------------------------------------------------------------------------
+# Blocked chain (d <= 8) against the indexed chains
+# ---------------------------------------------------------------------------
+
+def preset_chain_maps(name, n):
+    """Propagators of n intervals of a preset's initial control samples,
+    repeated cyclically, on the pieces its optimizer solves with."""
+    cfg = parse_config(PRESETS[name])
+    src = cfg.initial_controls
+    take = np.arange(n) % src.N
+    grid = ControlGrid(src.dt * n, n, src.u[take], src.n1[take],
+                       src.n2[take])
+    m = build_system_matrices(cfg.system)
+    part = m.restrict_to(src.u, realify(cfg.rho0),
+                         cfg.objective.weighted_target)
+    return dynamics._kernel(part, grid, substep_counts(m, grid))[1]
+
+
+def random_chain_maps(d, n):
+    rng = np.random.default_rng(d + n)
+    return np.eye(d) + 0.05 / max(d, 1) * rng.normal(size=(n, d, d))
+
+
+CHAIN_SOURCES = {  # name: (maps builder, dimension)
+    "sec6_1": (lambda n: preset_chain_maps("sec6_1", n), 4),
+    "sec6_3_v2_t05": (lambda n: preset_chain_maps("sec6_3_v2_t05", n), 8),
+    "random_0": (lambda n: random_chain_maps(0, n), 0),
+    "random_4": (lambda n: random_chain_maps(4, n), 4),
+    "random_8": (lambda n: random_chain_maps(8, n), 8),
+    "random_16": (lambda n: random_chain_maps(16, n), 16),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 1000])
+@pytest.mark.parametrize("source", CHAIN_SOURCES)
+def test_chain_matches_indexed_chains(source, n):
+    build, d = CHAIN_SOURCES[source]
+    props = build(n)
+    assert props.shape == (n, d, d)
+    rng = np.random.default_rng(n)
+    x0, p_terminal = rng.normal(size=(2, d))
+    for reps in (1, 3):
+        # as forward_subnodes and adjoint_subnodes call it
+        fwd = dynamics._forward_chain(props, x0, reps)
+        adj = dynamics._forward_chain(props.transpose(0, 2, 1)[::-1],
+                                      p_terminal, reps)[::-1]
+        for got, chain, start in ((fwd, indexed_forward_chain, x0),
+                                  (adj, indexed_adjoint_chain, p_terminal)):
+            assert got.shape == (reps * n + 1, d)
+            if d == 16:  # the serial chain, unchanged
+                assert same_bits(got, chain(props, start, reps))
+            elif d:
+                # in extended precision: over 3000 sec6_1 maps the float64
+                # indexed chain is itself 1.5e-13 off the exact products
+                exact = chain(props.astype(np.longdouble),
+                              start.astype(np.longdouble), reps)
+                assert _rel(got, exact) <= 1e-13

@@ -270,16 +270,18 @@ def _verify_gradient_fd(config, matrices):
     max_rel = 0.0
     max_abs_small = 0.0
     samples = np.stack([grid.u, grid.n1, grid.n2])
-    # the restriction depends on u only through whether it is all zero
-    pieces = {c: matrices.restrict_to([c], x0, target) for c in (False, True)}
+    pieces = {}  # restrict_to reads u only through whether any is nonzero
     for row in range(3):
         for k in range(n_fd):
             values = []
             for sign in (1.0, -1.0):
                 bumped = samples.copy()
                 bumped[row, k] += sign * delta
+                key = bool(bumped[0].any())
+                if key not in pieces:
+                    pieces[key] = matrices.restrict_to(bumped[0], x0, target)
                 x_end = forward_endpoint(
-                    pieces[bool(bumped[0].any())],
+                    pieces[key],
                     ControlGrid(grid.T, grid.N, *bumped), x0, subs)
                 values.append(evaluate(x_end, config.objective))
             fd = (values[0] - values[1]) / (2.0 * delta * grid.dt)

@@ -6,8 +6,9 @@ kernel serves every caller, with no adaptive step control: batched Horner
 step maps and interval propagators R^subs[k] by batched binary powering,
 both built once per distinct (u, n1, n2, subs) row and expanded to the
 intervals, then one chain of the propagators: blocked (a two-level prefix
-scan) where the state dimension d is at most 8, serial above.  The adjoint
-runs the same chain on the transposed maps in reverse order.  On the
+scan) where the state dimension d is at most 8 and each map is applied
+once, serial otherwise.  The adjoint runs the same chain on the transposed
+maps in reverse order.  On the
 optimizer path (Dormand-Prince 5(4)) only the forward pass builds a
 control's step maps and propagators, and the adjoint pass reuses them;
 every sub-node sits in one (N, max(subs) + 1, d) array that also supplies
@@ -196,26 +197,18 @@ def _forward_chain(props: np.ndarray, x0: np.ndarray,
     """x_{i+1} = P x_i, each P_k applied reps times in turn.  On the maps
     transposed in reverse order it runs the adjoint q_i = q_{i+1} P.
 
-    Above _BLOCKED_MAX_DIM a serial chain of matvecs.  At or below it a
-    d x d product costs little more than a matvec's call overhead, so the
-    chain runs blocked (``_blocked_chain``) on the interval propagators
-    P_k^reps, and reps - 1 batched matvecs fill the nodes inside the
-    intervals: the temporaries stay about the size of the (N, d, d) maps.
+    With one map per step (reps == 1) at or below _BLOCKED_MAX_DIM, where a
+    d x d product costs little more than a matvec's call overhead, the chain
+    runs blocked (``_blocked_chain``); otherwise a serial chain of matvecs.
     """
-    n, d = len(props), len(x0)
-    out = np.empty((reps * n + 1, d))
+    out = np.empty((reps * len(props) + 1, len(x0)))
     out[0] = x0
-    if d > _BLOCKED_MAX_DIM:
+    if len(x0) > _BLOCKED_MAX_DIM or reps > 1:
         rows, maps = list(out), [p for p in props for _ in range(reps)]
         for p, x, y in zip(maps, rows, rows[1:]):
             np.dot(p, x, out=y)
-        return out
-    spans = (props if reps == 1
-             else _interval_propagators(props, np.full(n, reps)))
-    out[reps::reps] = _blocked_chain(spans, x0)
-    for r in range(1, reps):
-        np.einsum("kij,kj->ki", props, out[r - 1:-1:reps],
-                  out=out[r::reps])
+    else:
+        out[1:] = _blocked_chain(props, x0)
     return out
 
 

@@ -8,13 +8,14 @@ both built once per distinct (u, n1, n2, subs) row and expanded to the
 intervals, then one chain of the propagators: blocked (a two-level prefix
 scan) where the state dimension d is at most 8 and each map is applied
 once, serial otherwise.  The adjoint runs the same chain on the transposed
-maps in reverse order.  On the
-optimizer path (Dormand-Prince 5(4)) only the forward pass builds a
-control's step maps and propagators, and the adjoint pass reuses them;
-every sub-node sits in one (N, max(subs) + 1, d) array that also supplies
-matched quadrature nodes.  Post-run propagation on K = sub * N nodes
-applies one propagator per node span sub times, NODE_BLOCK intervals at a
-time; its ``rk4`` mode is classical RK4, a coarse cross-check.
+maps in reverse order.  On the optimizer path (Dormand-Prince 5(4)) only
+the forward pass builds a control's step maps and propagators, and the
+adjoint pass reuses them; the sub-nodes, which also supply matched
+quadrature nodes, are stored ragged, the intervals ranked by substep
+count, so no pass fills or reads a substep an interval does not have.
+Post-run propagation on K = sub * N nodes applies one propagator per node
+span sub times, NODE_BLOCK intervals at a time; its ``rk4`` mode is
+classical RK4, a coarse cross-check.
 
 Everything runs in the dimension d of the matrices it is given.  On the
 pieces from ``SystemMatrices.restrict_to`` a solve works on the invariant
@@ -173,9 +174,11 @@ def _distinct_rows(grid: ControlGrid, subs: np.ndarray):
 
 
 def _kernel(m: SystemMatrices, grid: ControlGrid, subs: np.ndarray,
-            divisors=_DP5_DIVISORS) -> tuple[np.ndarray, np.ndarray]:
+            divisors=_DP5_DIVISORS,
+            order=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Step maps and propagators of every interval, (N, d, d) each, built
-    and powered once per distinct interval row, then expanded.
+    and powered once per distinct interval row, then expanded: the steps in
+    the interval ``order``, the propagators in time order.
 
     h is grid.dt / subs: a grid rebuilt on the distinct rows could differ
     in dt's last bit.
@@ -187,9 +190,9 @@ def _kernel(m: SystemMatrices, grid: ControlGrid, subs: np.ndarray,
     steps = interval_step_matrices(m, grid.dt / subs[first], grid.u[first],
                                    grid.n1[first], grid.n2[first], divisors)
     props = _interval_propagators(steps, subs[first])
-    if inverse is not None:
-        steps, props = steps[inverse], props[inverse]
-    return steps, props
+    if inverse is None:
+        return steps[order], props
+    return steps[inverse[order]], props[inverse]
 
 
 def _forward_chain(props: np.ndarray, x0: np.ndarray,
@@ -239,31 +242,53 @@ def _blocked_chain(maps: np.ndarray, x0: np.ndarray) -> np.ndarray:
 class SubnodeStates:
     """Per-interval states on the fixed sub-grid, endpoints included.
 
-    ``states`` has shape (N, max(subs) + 1, d), on the 16-vector ``slots``
-    of the matrices that built it.  Row ``[k, i]`` is sub-node
-    i of interval k: row 0 sits on the breakpoint t_k and row subs[k] on
-    t_{k+1}.  Rows past subs[k] repeat the interval's end state, so
-    ``states[k, -1]`` is the same vector as ``states[k + 1, 0]``.  ``steps``
-    and ``props`` are the control's step maps and propagators, (N, d, d),
-    built once per distinct (u, n1, n2, subs) row: repeated rows hold equal
-    copies.  ``end_state`` and ``at_breakpoints`` give 16-vectors.
+    ``ends`` holds the chain's N + 1 breakpoint states in time order.
+    ``order`` ranks the intervals by substep count, descending and stable
+    (``slice(None)`` where the counts never rise), so the intervals that
+    have a sub-node i form a prefix of it.  ``nodes[i, r]``, of shape
+    (max(subs) + 1, N, d), is sub-node i of interval ``order[r]``, counted
+    from t_k on a forward pass and from t_{k+1} on an adjoint one; entries
+    past an interval's subs are neither written nor read.  ``steps`` (the
+    step maps, in ``order``) and ``props`` (the propagators, in time order)
+    are (N, d, d), built once per distinct (u, n1, n2, subs) row.  States
+    sit on the 16-vector ``slots`` of the matrices that built them;
+    ``end_state`` and ``at_breakpoints`` give 16-vectors.
     """
 
     grid: ControlGrid
     subs: np.ndarray
-    states: np.ndarray
+    ends: np.ndarray
+    nodes: np.ndarray
+    order: np.ndarray | slice
     steps: np.ndarray
     props: np.ndarray
     slots: np.ndarray
 
     @property
     def end_state(self) -> np.ndarray:
-        return _scatter(self.states[-1, -1], self.slots)
+        return _scatter(self.ends[-1], self.slots)
 
     def at_breakpoints(self) -> Trajectory:
-        states = np.concatenate([self.states[:, 0], self.states[-1:, -1]])
         return Trajectory(self.grid.breakpoints(),
-                          _scatter(states, self.slots))
+                          _scatter(self.ends, self.slots))
+
+
+def _fill(steps: np.ndarray, ranked: np.ndarray, heads: np.ndarray,
+          tails: np.ndarray, spec: str) -> np.ndarray:
+    """Ragged sub-nodes from ``heads`` on, every argument in the order of
+    the descending substep counts ``ranked``: node i of the intervals with
+    more than i substeps is one batched substep from node i - 1, and an
+    interval with exactly i takes its node i from ``tails``."""
+    smax = int(ranked[0])
+    # more[i]: the number of intervals with more than i substeps
+    more = np.searchsorted(-ranked, -np.arange(smax + 1))
+    nodes = np.empty((smax + 1,) + heads.shape)
+    nodes[0] = heads
+    for i in range(1, smax + 1):
+        c = more[i]
+        np.einsum(spec, steps[:c], nodes[i - 1, :c], out=nodes[i, :c])
+        nodes[i, c:more[i - 1]] = tails[c:more[i - 1]]
+    return nodes
 
 
 def forward_subnodes(m: SystemMatrices, grid: ControlGrid, x0: np.ndarray,
@@ -277,38 +302,31 @@ def forward_subnodes(m: SystemMatrices, grid: ControlGrid, x0: np.ndarray,
     other entry points, because perfbench/tracer.py counts substeps there.
     """
     subs = np.asarray(subs)
-    steps, props = _kernel(m, grid, subs)
+    order = (slice(None) if (np.diff(subs) <= 0).all()
+             else np.argsort(-subs, kind="stable"))
+    steps, props = _kernel(m, grid, subs, order=order)
     ends = _forward_chain(props, _restrict(x0, m.slots))
-    smax = int(subs.max())
-    states = np.empty((grid.N, smax + 1, len(m.slots)))
-    states[:, 0] = ends[:-1]
-    for i in range(1, smax):
-        states[:, i] = np.einsum("kij,kj->ki", steps, states[:, i - 1])
-    past = np.arange(smax + 1) >= subs[:, None]
-    np.copyto(states, ends[1:, None, :], where=past[:, :, None])
-    return SubnodeStates(grid, subs, states, steps, props, m.slots)
+    nodes = _fill(steps, subs[order], ends[:-1][order], ends[1:][order],
+                  "kij,kj->ki")
+    return SubnodeStates(grid, subs, ends, nodes, order, steps, props,
+                         m.slots)
 
 
 def adjoint_subnodes(m: SystemMatrices, grid: ControlGrid, p_terminal: np.ndarray,
                      subs: np.ndarray, fwd: SubnodeStates) -> SubnodeStates:
-    """Backward pass on the same sub-grid, stored t-ascending.  Builds
-    nothing: it applies ``fwd``'s maps transposed (R(hG)^T = R(hG^T)), on
-    ``fwd``'s slots, off which the 16-vector p_terminal must vanish."""
-    subs = np.asarray(subs)
+    """Backward pass on the same sub-grid, its sub-nodes counted from each
+    interval's end.  Builds nothing: it applies ``fwd``'s maps transposed
+    (R(hG)^T = R(hG^T)), in ``fwd``'s order and on its slots, off which the
+    16-vector p_terminal must vanish."""
+    if not np.array_equal(subs, fwd.subs):
+        raise GridMismatchError("adjoint substeps differ from the forward's")
     ends = _forward_chain(fwd.props.transpose(0, 2, 1)[::-1],
                           _restrict(p_terminal, fwd.slots))[::-1]
-    smax = int(subs.max())
-    # back is the adjoint j substeps before t_{k+1}, sub-node subs[k] - j of
-    # interval k; rows from subs[k] on keep the end state, row 0 the chain's.
-    states = np.empty((grid.N, smax + 1, len(fwd.slots)))
-    states[:] = ends[1:, None, :]
-    back = ends[1:]
-    for j in range(1, smax):
-        back = np.einsum("kji,kj->ki", fwd.steps, back)
-        rows = np.flatnonzero(subs > j)
-        states[rows, subs[rows] - j] = back[rows]
-    states[:, 0] = ends[:-1]
-    return SubnodeStates(grid, subs, states, fwd.steps, fwd.props, fwd.slots)
+    order = fwd.order
+    nodes = _fill(fwd.steps, fwd.subs[order], ends[1:][order],
+                  ends[:-1][order], "kji,kj->ki")
+    return SubnodeStates(grid, fwd.subs, ends, nodes, order, fwd.steps,
+                         fwd.props, fwd.slots)
 
 
 def forward_endpoint(m: SystemMatrices, grid: ControlGrid, x0: np.ndarray,

@@ -138,9 +138,10 @@ def run(m: SystemMatrices, spec: ObjectiveSpec, x0: np.ndarray,
     for k in range(cfg.max_iters + 1):
         # each control is solved on the invariant slots of x0 and the target
         part = m.restrict_to(control.u, x0, spec.weighted_target)
-        # the heap layout sets the page faults, so adj (which also holds the
-        # last fwd's steps and props) and the last two samples stay bound
-        # across this solve; with adj freed first, glibc trims and regrows
+        # adj (which also holds the last fwd's steps and props) and the last
+        # two samples stay bound across this solve; freeing adj first only
+        # moves where glibc trims the heap (fewer minor faults per steering
+        # pass, more per sec6_1 pass), not the solve time
         fwd = forward_subnodes(part, control, x0, substep_counts(m, control))
         value = evaluate(fwd.end_state, spec)
         j_value = overlap(fwd.end_state, spec)

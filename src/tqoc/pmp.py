@@ -50,21 +50,6 @@ def switching(m: SystemMatrices, x_traj: Trajectory,
     )
 
 
-def _simpson_table(subs: np.ndarray) -> np.ndarray:
-    """Composite Simpson weights per interval; shape (N, max(subs) + 1).
-
-    Row k is divided by subs[k] (even) so that a weighted row sum is the
-    interval mean, and is zero past column subs[k].
-    """
-    subs = np.asarray(subs)
-    i = np.arange(int(subs.max()) + 1)
-    w = np.where(i % 2 == 1, 4.0, 2.0) * np.ones((subs.size, 1))
-    w[:, 0] = 1.0
-    w[i == subs[:, None]] = 1.0
-    w[i > subs[:, None]] = 0.0
-    return w / (3.0 * subs[:, None])
-
-
 def switching_interval_means(m: SystemMatrices, fwd: SubnodeStates,
                              adj: SubnodeStates) -> np.ndarray:
     """Interval averages of (K_u, K_n1, K_n2); shape (3, N).
@@ -72,17 +57,33 @@ def switching_interval_means(m: SystemMatrices, fwd: SubnodeStates,
     ``m`` holds the pieces on the solve's slots, as passed to
     ``forward_subnodes``: the states vanish off those slots, so only that
     block of each B enters.  The Simpson mean of <p, B x> over interval k is
-    the Frobenius product of B with M_k = sum_i W[k, i] p_{k,i} x_{k,i}^T, so
-    one batched product forms every M_k and one (N, d^2) x (d^2, 3)
-    contraction takes all three channels at once.  That contraction is an
-    einsum, not a BLAS product: fused multiply-adds would leave a rounding
-    residue where terms cancel exactly, and a stationary zero control would
-    no longer be a fixed point of the projected update.
+    the Frobenius product of B with M_k = sum_i w_i p_{k,i} x_{k,i}^T, with
+    the composite Simpson weights w divided by subs[k] (even).  The
+    intervals of each substep count are one contiguous run of the ranked
+    sub-nodes, so one batched product per count forms their M_k, and one
+    (N, d^2) x (d^2, 3) contraction takes all three channels at once.  That
+    contraction is an einsum, not a BLAS product: fused multiply-adds would
+    leave a rounding residue where terms cancel exactly, and a stationary
+    zero control would no longer be a fixed point of the projected update.
     """
-    weighted = adj.states * _simpson_table(fwd.subs)[:, :, None]
-    outer = np.matmul(weighted.transpose(0, 2, 1), fwd.states)
+    ranked = fwd.subs[fwd.order]
+    outer = np.empty((len(ranked),) + fwd.steps.shape[1:])
+    # runs of equal counts; np.unique would import numpy.ma (~1 MB) here
+    cuts = list(np.flatnonzero(np.diff(ranked)) + 1)
+    for lo, hi in zip([0] + cuts, cuts + [len(ranked)]):
+        s = ranked[lo]
+        w = np.where(np.arange(s + 1) % 2 == 1, 4.0, 2.0)
+        w[0] = w[s] = 1.0
+        # the adjoint counts its sub-nodes from the interval end
+        weighted = adj.nodes[s::-1, lo:hi] * (w / (3.0 * s))[:, None, None]
+        np.matmul(weighted.transpose(1, 2, 0),
+                  fwd.nodes[:s + 1, lo:hi].transpose(1, 0, 2),
+                  out=outer[lo:hi])
     basis = np.stack([m.B_u, m.B_n1, m.B_n2]).reshape(3, -1)
-    return np.einsum("cx,kx->ck", basis, outer.reshape(len(outer), -1))
+    means = np.empty((3, len(ranked)))
+    means[:, fwd.order] = np.einsum("cx,kx->ck", basis,
+                                    outer.reshape(len(outer), -1))
+    return means
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import grid_step_maps, random_density
+from conftest import grid_step_maps, random_density, subnode_blocks
 
-from tqoc import dynamics
+from tqoc import dynamics, pmp
 from tqoc.config import parse_config
 from tqoc.controls import ControlGrid, constant_grid
 from tqoc.dynamics import (Trajectory, adjoint_subnodes, forward_endpoint,
@@ -403,14 +403,15 @@ def test_subnode_kernel_matches_per_substep_loops(matrices, n):
     ref_fwd = reference_forward_blocks(steps, subs, x0)
     ref_adj = reference_adjoint_blocks(steps, subs, p_terminal)
     smax = int(subs.max())
-    assert fwd.states.shape == adj.states.shape == (n, smax + 1, 16)
-    for k, nsub in enumerate(subs):
-        for got, ref in ((fwd, ref_fwd[k]), (adj, ref_adj[k])):
-            assert _rel(got.states[k, :nsub + 1], ref) <= 1e-12
-            # padded rows repeat the interval's end state exactly
-            assert np.array_equal(
-                got.states[k, nsub:],
-                np.broadcast_to(got.states[k, nsub], (smax + 1 - nsub, 16)))
+    assert fwd.nodes.shape == adj.nodes.shape == (smax + 1, n, 16)
+    # the breakpoints are the serial chain's, bit for bit, and every
+    # interval's first and last sub-nodes are copies of them
+    assert same_bits(fwd.ends, indexed_forward_chain(fwd.props, x0))
+    assert same_bits(adj.ends, indexed_adjoint_chain(fwd.props, p_terminal))
+    for got, refs, from_end in ((fwd, ref_fwd, False), (adj, ref_adj, True)):
+        for k, block in enumerate(subnode_blocks(got, from_end)):
+            assert _rel(block, refs[k]) <= 1e-12
+            assert same_bits(block[[0, -1]], got.ends[[k, k + 1]])
     assert _rel(fwd.end_state, ref_fwd[-1][-1]) <= 1e-12
     assert _rel(forward_endpoint(matrices, grid, x0, subs),
                 ref_fwd[-1][-1]) <= 1e-12
@@ -421,6 +422,106 @@ def test_subnode_kernel_matches_per_substep_loops(matrices, n):
     assert _rel(switching_interval_means(matrices, fwd, adj),
                 reference_switching_means(matrices, ref_fwd, ref_adj,
                                           subs)) <= 1e-12
+    # the adjoint fills the forward pass's ranked layout, so its counts
+    with pytest.raises(GridMismatchError):
+        adjoint_subnodes(matrices, grid, p_terminal, subs + 2, fwd)
+
+
+def padded_subnodes(states, from_end):
+    """The (N, max(subs) + 1, d) layout the ragged one replaced: sub-node i
+    of interval k at [k, i], the interval's end state repeated past
+    subs[k]."""
+    blocks = subnode_blocks(states, from_end)
+    out = np.empty((len(blocks), int(states.subs.max()) + 1,
+                    states.nodes.shape[-1]))
+    for k, block in enumerate(blocks):
+        out[k, :len(block)] = block
+        out[k, len(block):] = block[-1]
+    return out
+
+
+def padded_switching_means(m, fwd, adj):
+    """Composite Simpson means on the padded layout, with one
+    (N, max(subs) + 1) weight table, each row divided by subs[k] and zero
+    past it: the quadrature the ragged one replaced."""
+    subs = fwd.subs
+    i = np.arange(int(subs.max()) + 1)
+    w = np.where(i % 2 == 1, 4.0, 2.0) * np.ones((subs.size, 1))
+    w[:, 0] = 1.0
+    w[i == subs[:, None]] = 1.0
+    w[i > subs[:, None]] = 0.0
+    table = w / (3.0 * subs[:, None])
+    weighted = padded_subnodes(adj, True) * table[:, :, None]
+    outer = np.matmul(weighted.transpose(0, 2, 1),
+                      padded_subnodes(fwd, False))
+    basis = np.stack([m.B_u, m.B_n1, m.B_n2]).reshape(3, -1)
+    return np.einsum("cx,kx->ck", basis, outer.reshape(len(outer), -1))
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+@pytest.mark.parametrize("n", [1, 29])
+@pytest.mark.parametrize("dim", [0, 4, 8, 16])
+def test_ragged_quadrature_matches_padded_quadrature(matrices, matrices_v2,
+                                                     dim, n, uniform):
+    rng = np.random.default_rng(dim + n)
+    m = matrices_v2 if dim == 8 else matrices
+    grid = ControlGrid(0.3 * n, n, (dim != 4) * rng.uniform(-2, 2, n),
+                       rng.uniform(0, 2, n), rng.uniform(0, 2, n))
+    x0 = (np.zeros(16) if dim == 0 else realify(random_density(rng))
+          if dim == 16 else embed_diagonal((0.4, 0.3, 0.2, 0.1)))
+    part = m.restrict_to(grid.u, x0, embed_diagonal((0.1, 0.2, 0.3, 0.4))
+                         if dim else x0)
+    assert len(part.slots) == dim
+    subs = 2 * rng.integers(1, 33, n)
+    subs[[n // 2, -1]] = 64, 2
+    if uniform:
+        subs[:] = 6
+    p_terminal = np.zeros(16)
+    p_terminal[part.slots] = rng.normal(size=dim)
+    fwd = forward_subnodes(part, grid, x0, subs)
+    adj = adjoint_subnodes(part, grid, p_terminal, subs, fwd)
+    # equal counts keep the intervals in time order: no argsort, no gather
+    assert isinstance(fwd.order, slice) == (uniform or n == 1)
+    assert same_bits(switching_interval_means(part, fwd, adj),
+                     padded_switching_means(part, fwd, adj))
+
+
+class _NanEmpty:
+    """numpy as one module sees it, with ``empty`` handing out NaNs."""
+
+    empty = staticmethod(lambda shape: np.full(shape, np.nan))
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_entries_past_each_interval_are_never_written_or_read(matrices,
+                                                              monkeypatch):
+    rng = np.random.default_rng(13)
+    grid, subs = _ragged_case(rng, 31)
+    x0 = realify(random_density(rng))
+    p_terminal = rng.normal(size=16)
+
+    def solve():
+        fwd = forward_subnodes(matrices, grid, x0, subs)
+        adj = adjoint_subnodes(matrices, grid, p_terminal, subs, fwd)
+        return fwd, adj, switching_interval_means(matrices, fwd, adj)
+
+    clean = solve()
+    monkeypatch.setattr(dynamics, "np", _NanEmpty())
+    monkeypatch.setattr(pmp, "np", _NanEmpty())
+    fwd, adj, means = solve()
+    past = np.arange(int(subs.max()) + 1)[:, None] > subs[fwd.order]
+    assert past.sum() > 0.4 * past.size
+    for got, ref in ((fwd, clean[0]), (adj, clean[1])):
+        assert np.isnan(got.nodes[past]).all()
+        assert same_bits(got.nodes[~past], ref.nodes[~past])
+        assert np.isfinite(got.end_state).all()
+        assert same_bits(got.end_state, ref.end_state)
+        states = got.at_breakpoints().states
+        assert np.isfinite(states).all()
+        assert same_bits(states, ref.at_breakpoints().states)
+    assert np.isfinite(means).all() and same_bits(means, clean[2])
 
 
 def test_horner_step_maps_match_stage_form(matrices):
@@ -582,9 +683,13 @@ def test_distinct_row_kernel_matches_per_interval_build(matrices, name):
         matrices, grid, x0, p_terminal, subs)
     fwd = forward_subnodes(matrices, grid, x0, subs)
     adj = adjoint_subnodes(matrices, grid, p_terminal, subs, fwd)
-    assert same_bits(fwd.steps, steps) and same_bits(fwd.props, props)
-    assert same_bits(fwd.states, ref_fwd)
-    assert same_bits(adj.states, ref_adj)
+    assert same_bits(fwd.steps, steps[fwd.order])
+    assert same_bits(fwd.props, props)
+    for got, ref, from_end in ((fwd, ref_fwd, False), (adj, ref_adj, True)):
+        assert same_bits(np.concatenate(subnode_blocks(got, from_end)),
+                         np.concatenate([ref[k, :s + 1]
+                                         for k, s in enumerate(subs)]))
+        assert same_bits(got.ends, np.concatenate([ref[:, 0], ref[-1:, -1]]))
     assert same_bits(forward_endpoint(matrices, grid, x0, subs),
                      ref_fwd[-1, -1])
     for method in ("dp54", "rk4"):

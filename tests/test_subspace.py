@@ -12,7 +12,7 @@ pieces).
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import random_hermitian, subnode_blocks
 from tqoc import gpm
 from tqoc.config import parse_config
 from tqoc.controls import ConstraintSet, ControlGrid, constant_grid
@@ -113,10 +113,13 @@ def test_restricted_solve_matches_full_solve(name):
                                                         spec), subs, full_fwd)
     adj = adjoint_subnodes(part, grid, transversality(fwd.end_state, spec),
                            subs, fwd)
-    assert fwd.steps.shape[-1] == fwd.states.shape[-1] == dim
-    for got, full in ((fwd, full_fwd), (adj, full_adj)):
-        assert np.all(full.states[..., off] == 0.0)
-        assert _rel(got.states, full.states[..., part.slots]) <= 1e-12
+    assert fwd.steps.shape[-1] == fwd.nodes.shape[-1] == dim
+    for got, full, from_end in ((fwd, full_fwd, False),
+                                (adj, full_adj, True)):
+        rows, full_rows = (np.concatenate(subnode_blocks(s, from_end))
+                           for s in (got, full))
+        assert np.all(full_rows[:, off] == 0.0)
+        assert _rel(rows, full_rows[:, part.slots]) <= 1e-12
         assert _rel(got.at_breakpoints().states,
                     full.at_breakpoints().states) <= 1e-12
     assert _rel(fwd.end_state, full_fwd.end_state) <= 1e-12

@@ -3,7 +3,7 @@
 On each control interval the generator G = A + B_u u + B_n1 n1 + B_n2 n2 is
 constant, so a Runge-Kutta step is a fixed polynomial in z = h G.  One
 kernel serves every caller, with no adaptive step control: batched Horner
-step maps and interval propagators R^subs[k] by batched binary powering,
+step maps and interval propagators R^subs[k] by numpy's matrix_power,
 both built once per distinct (u, n1, n2, subs) row and expanded to the
 intervals, then one chain of the propagators: blocked (a two-level prefix
 scan) where the state dimension d is at most 8 and each map is applied
@@ -139,28 +139,17 @@ def substep_counts(m: SystemMatrices, grid: ControlGrid,
 
 
 def _interval_propagators(steps: np.ndarray, subs: np.ndarray) -> np.ndarray:
-    """P_k = S_k^subs[k] by batched binary powering; shape (N, d, d).
-
-    Every interval squares its base on each bit; only intervals whose
-    current bit is set multiply it into their product.
-    """
-    bits = np.array(subs, dtype=np.int64)
-    base = steps
-    prop = None
-    while True:
-        odd = (bits & 1).astype(bool)
-        if prop is None:
-            if odd.any():
-                prop = np.where(odd[:, None, None], base,
-                                np.eye(base.shape[-1]))
-        elif odd.all():
-            prop = prop @ base
-        elif odd.any():
-            prop[odd] = prop[odd] @ base[odd]
-        bits >>= 1
-        if not bits.any():
-            return prop
-        base = base @ base
+    """P_k = S_k^subs[k]; shape (N, d, d).  One ``matrix_power`` per distinct
+    count; with a single count 1 the result is ``steps`` itself, so nothing
+    writes into it."""
+    counts = set(subs.tolist())
+    if len(counts) == 1:
+        return np.linalg.matrix_power(steps, counts.pop())
+    props = np.empty_like(steps)
+    for c in counts:
+        rows = subs == c
+        props[rows] = np.linalg.matrix_power(steps[rows], c)
+    return props
 
 
 def _distinct_rows(grid: ControlGrid, subs: np.ndarray):

@@ -180,11 +180,8 @@ def _components(*mats) -> np.ndarray:
     reach = np.eye(len(mats[0]), dtype=bool)
     for a in mats:
         reach |= (a != 0) | (a != 0).T
-    while True:
-        grown = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
-        if np.array_equal(grown, reach):
-            return np.argmax(reach, axis=1)
-        reach = grown
+    # paths of up to n - 1 edges reach every slot of a component
+    return np.argmax(np.linalg.matrix_power(reach, len(reach) - 1), axis=1)
 
 
 @dataclass(frozen=True)

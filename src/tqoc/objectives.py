@@ -53,8 +53,9 @@ class ObjectiveSpec:
         if self.kind in (SQUARED_DEVIATION, SMOOTHED_DEVIATION):
             if self.setpoint is None or not 0.0 < self.setpoint < 1.0:
                 raise ValueError("setpoint must lie in (0, 1)")
-        if self.kind == SMOOTHED_DEVIATION and not self.smoothing > 0.0:
-            raise ValueError("smoothing width must be positive")
+        if self.kind == SMOOTHED_DEVIATION and not (
+                np.isfinite(self.smoothing) and self.smoothing > 0.0):
+            raise ValueError("smoothing width must be positive and finite")
         if self.kind == MAXIMIZE_OVERLAP and self.upper_bound is None:
             raise ValueError("maximize_overlap requires an upper_bound")
         if self.upper_bound is not None and not np.isfinite(self.upper_bound):

@@ -18,7 +18,7 @@ from .controls import ControlGrid, constant_grid
 from .dynamics import (SubnodeStates, Trajectory, adjoint_subnodes,
                        forward_subnodes, propagate_adjoint, propagate_forward,
                        substep_counts, zero_control_adjoint)
-from .errors import GridMismatchError
+from .errors import DivergedError, GridMismatchError
 from .model import SystemMatrices, SystemParams, build_system_matrices, embed_diagonal
 from .objectives import ObjectiveSpec, evaluate, overlap, transversality
 from .smallmat import PSD_TOL
@@ -111,6 +111,8 @@ def gradient(m: SystemMatrices, grid: ControlGrid, spec: ObjectiveSpec,
     fwd = forward_subnodes(part, grid, x0, substep_counts(m, grid))
     x_final = fwd.end_state
     value = evaluate(x_final, spec)
+    if not np.isfinite(value):  # the adjoint cannot start from a NaN or inf
+        raise DivergedError(f"objective reached {value!r} in the forward solve")
     j_value = overlap(x_final, spec)
     adj = adjoint_subnodes(part, grid, transversality(x_final, spec),
                            fwd.subs, fwd)

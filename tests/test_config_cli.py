@@ -418,6 +418,8 @@ def test_verify_command(tmp_path):
     {"objective": {"kind": "maximize_overlap", "upper_bound": math.nan}},
     {"objective": {"kind": "maximize_overlap", "upper_bound": math.inf}},
     {"objective": {"kind": "maximize_overlap", "upper_bound": -math.inf}},
+    {"objective": {"kind": "smoothed_deviation", "setpoint": 0.5,
+                   "smoothing": math.inf}},
     {"optimizer": {"alpha": 1e4, "eps_stop1": math.nan}},
     {"optimizer": {"alpha": 1e4, "eps_stop1": -1.0}},
     {"optimizer": {"alpha": 1e4, "eps_stop2": math.inf}},
@@ -429,7 +431,7 @@ def test_verify_command(tmp_path):
         "alpha_nan", "alpha_infinite", "alpha_negative", "alpha_hat_nan",
         "alpha_hat_infinite", "sigma_negative", "sigma_nan",
         "sigma_infinite", "upper_bound_nan", "upper_bound_infinite",
-        "upper_bound_negative_infinite", "eps_stop1_nan",
+        "upper_bound_negative_infinite", "smoothing_infinite", "eps_stop1_nan",
         "eps_stop1_negative", "eps_stop2_infinite", "eps_stop3_nan"])
 def test_invalid_config_exits_1_without_outputs(tmp_path, overrides):
     with pytest.raises(ConfigError):
@@ -449,6 +451,25 @@ def test_overflowing_horizon_exits_2_without_outputs(tmp_path):
     out = tmp_path / "out"
     assert main(["--quiet", "run", str(config_path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("overrides", [
+    {"initial_controls": {"u": {"function": "sin", "amplitude": 1e300},
+                          "n1": 1.0, "n2": 1.0}},
+    {"system": {"interaction": "V1", "epsilon": 1e300}},
+], ids=["control_amplitude", "epsilon"])
+def test_overflowing_forward_solve_exits_2_without_outputs(tmp_path,
+                                                           overrides):
+    # the forward solve ends in NaN: verify stops before the adjoint solve,
+    # as run does
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(tiny_config(**overrides)))
+    for command in ("run", "verify"):
+        out = tmp_path / command
+        assert main(["--quiet", command, str(config_path), "--out",
+                     str(out)]) == 2
+        assert not out.exists()
 
 
 def test_overflowing_step_decay_runs_on_zero_steps(tmp_path):

@@ -564,7 +564,35 @@ def per_interval_kernel(m, grid, subs, divisors=dynamics._DP5_DIVISORS):
     basis = np.stack([m.A, m.B_u, m.B_n1, m.B_n2]).reshape(4, -1)
     steps = dynamics._horner((coeffs @ basis).reshape(grid.N, 16, 16),
                              divisors)
-    return steps, dynamics._interval_propagators(steps, subs)
+    return steps, masked_powers(steps, subs)
+
+
+def masked_powers(steps, subs):
+    """S_k^subs[k] by masked binary powering: every interval squares its base
+    on each bit, and only those whose current bit is set multiply it into
+    their product.  The reference for ``dynamics._interval_propagators``.
+
+    An interval whose first set bit comes after the stack's first one starts
+    from the identity, and I @ X keeps X's bits except that a -0.0 entry
+    comes out +0.0; no power of a step map holds a -0.0.
+    """
+    bits = np.array(subs, dtype=np.int64)
+    base = steps
+    prop = None
+    while True:
+        odd = (bits & 1).astype(bool)
+        if prop is None:
+            if odd.any():
+                prop = np.where(odd[:, None, None], base,
+                                np.eye(base.shape[-1]))
+        elif odd.all():
+            prop = prop @ base
+        elif odd.any():
+            prop[odd] = prop[odd] @ base[odd]
+        bits >>= 1
+        if not bits.any():
+            return prop
+        base = base @ base
 
 
 def indexed_forward_chain(props, x0, reps=1):
@@ -638,6 +666,43 @@ def same_bits(a, b):
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.int64),
                                                  b.view(np.int64))
+
+
+def near_identity(rng, n, d):
+    """Dense maps close to I: even their 2^21st powers stay finite."""
+    return np.eye(d) + 1e-8 * rng.normal(size=(n, d, d))
+
+
+@pytest.mark.parametrize("d", [0, 4, 8, 16])
+def test_powering_matches_the_masked_loop_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    even = np.arange(2, 65, 2)  # the optimizer's counts
+    cases = [np.full(3, c) for c in even]
+    cases.append(rng.permutation(np.repeat(even, 2)))
+    # post-run dp54: mixed multiples of 4 up to 2 * 2^20
+    cases.append(np.append(4 * rng.integers(1, 2 ** 19, 40), 2 ** 21))
+    # rk4: max(1, ceil(4 / sub))
+    cases += [np.full(3, c) for c in (1, 2, 4)]
+    cases.append(rng.choice([1, 2, 4], 30))
+    cases += [np.array([c]) for c in (1, 2, 4, 64, 2 ** 21)]  # N = 1
+    for subs in cases:
+        steps = near_identity(rng, len(subs), d)
+        got = dynamics._interval_propagators(steps, subs)
+        assert same_bits(got, masked_powers(steps, subs)), subs
+
+
+def test_powering_count_three_agrees_to_rounding():
+    # matrix_power forms (S S) S where the masked loop forms S (S S): the
+    # same product in another order, so equal only to rounding.  No caller
+    # asks for 3: optimizer counts are even, post-run dp54 ones multiples
+    # of 4 and rk4 ones 1, 2 or 4.
+    rng = np.random.default_rng(3)
+    for d in (4, 8, 16):
+        steps = near_identity(rng, 5, d)
+        subs = np.array([3, 3, 2, 3, 4])
+        got = dynamics._interval_propagators(steps, subs)
+        want = masked_powers(steps, subs)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 CASES = ("repeated_mixed_subs", "signed_zeros", "single", "all_distinct",

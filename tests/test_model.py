@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_hermitian
+from tqoc import model
 from tqoc.errors import BadTraceError, NotHermitianError
 from tqoc.model import (DIAG_SLOTS, SystemMatrices, SystemParams, V1, V2,
                         build_system_matrices, derealify, embed_diagonal,
@@ -186,6 +187,53 @@ def test_partitions_pin_the_invariant_blocks(matrices, matrices_v2):
         assert tuple(block) == DIAG_SLOTS
     assert _block_sizes(matrices.partitions[1]) == [16]
     assert _block_sizes(matrices_v2.partitions[1]) == [8, 8]
+
+
+def bfs_components(mats):
+    """Each slot's label, the first slot of its connected component, by a
+    breadth-first search over the exact nonzeros in either direction."""
+    n = len(mats[0])
+    edges = np.zeros((n, n), dtype=bool)
+    for a in mats:
+        edges |= (a != 0) | (a != 0).T
+    labels = [-1] * n
+    for first in range(n):
+        if labels[first] >= 0:
+            continue
+        labels[first], queue = first, [first]
+        while queue:
+            i = queue.pop(0)
+            for j in np.flatnonzero(edges[i]):
+                if labels[j] < 0:
+                    labels[j] = first
+                    queue.append(j)
+    return np.array(labels)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.03, 0.1, 0.3, 0.9])
+def test_components_match_a_breadth_first_search(density):
+    rng = np.random.default_rng(int(density * 100))
+    for n in range(1, 17):
+        for _ in range(4):
+            # dense or sparse patterns, some one-way (one triangle only)
+            mats = [rng.normal(size=(n, n)) * (rng.random((n, n)) < density)
+                    for _ in range(rng.integers(1, 4))]
+            if rng.random() < 0.5:
+                mats = [np.triu(a) for a in mats]
+            assert np.array_equal(model._components(*mats),
+                                  bfs_components(mats))
+        # a one-way path through every slot in random order, the longest a
+        # component can be; then split in two by dropping one edge
+        order = rng.permutation(n)
+        path = np.zeros((n, n))
+        path[order[1:], order[:-1]] = 1.0
+        labels = model._components(path)
+        assert np.array_equal(labels, np.full(n, labels[0]))
+        assert labels[0] == 0
+        if n > 2:
+            path[order[n // 2], order[n // 2 - 1]] = 0.0
+            assert np.array_equal(model._components(path),
+                                  bfs_components([path]))
 
 
 def test_system_matrices_store_c_contiguous_float64(matrices):
